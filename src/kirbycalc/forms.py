@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import (
     CapacityError,
@@ -27,10 +28,19 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .intmat import FgAbelianGroup, IntMatrix, block_diag, cokernel, determinant
+from .intmat import (
+    FgAbelianGroup,
+    IntMatrix,
+    block_diag,
+    cokernel,
+    determinant,
+    signature,
+)
 from .values import OrderedValue
 
 SEARCH_RANK_LIMIT = 4
+# candidate columns, (2 * bound + 1)^ngens, one search may build
+SEARCH_CANDIDATE_LIMIT = 10**5
 
 
 def canonical_key(orders, vec):
@@ -466,11 +476,6 @@ def split_preserving_g_on_a(phi: ModuleHom, s1: SplitModule,
 # bounded isometry search
 
 
-def _bilinear(q: IntMatrix, v, w):
-    n = q.rows
-    return sum(v[i] * q[i, j] * w[j] for i in range(n) for j in range(n))
-
-
 def _column_candidates(codomain: DecoratedModule, bound: int, order: int):
     """Well-defined images for a domain generator of the given order."""
     out = []
@@ -491,22 +496,103 @@ def _column_candidates(codomain: DecoratedModule, bound: int, order: int):
     return out
 
 
-def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int):
+def _norm_buckets(codomain: DecoratedModule, bound: int, order: int):
+    """Candidate columns grouped by norm: norm -> [(c, c^T Q), ...].
+
+    Each bucket keeps the order of _column_candidates, so the search
+    visits the surviving candidates in the same order as a plain scan.
+    """
+    q = codomain.form.entries
+    n = codomain.ngens
+    buckets = {}
+    for c in _column_candidates(codomain, bound, order):
+        cq = tuple(sum(c[i] * q[i][k] for i in range(n)) for k in range(n))
+        buckets.setdefault(sum(map(mul, cq, c)), []).append((c, cq))
+    return buckets
+
+
+def _classes_by_level(d1: DecoratedModule):
+    """Tabulated classes of d1 grouped by their highest nonzero coordinate.
+
+    Level j holds (nonzero (index, coefficient) pairs, value) for every
+    class whose image is fixed once column j is chosen.  The zero class
+    has no level.
+    """
+    levels = [[] for _ in range(d1.ngens)]
+    for key, val in d1.gvalues.items():
+        terms = [(i, a) for i, a in enumerate(d1.key(key)) if a]
+        if terms:
+            levels[terms[-1][0]].append((terms, val))
+    return levels
+
+
+def _values_clash(classes, cols, d2: DecoratedModule) -> bool:
+    """True iff some class maps to a class tabulated with another value."""
+    table2 = d2.gvalues
+    for terms, val in classes:
+        img = [0] * d2.ngens
+        for i, a in terms:
+            for r, x in enumerate(cols[i]):
+                img[r] += a * x
+        got = table2.get(tuple(x % u if u else x
+                               for x, u in zip(img, d2.orders)))
+        if got is not None and got != val:
+            return True
+    return False
+
+
+def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int, *,
+                    match_values: bool = False):
     """Yield form-preserving isomorphisms with matrix entries in [-bound, bound].
 
-    Exhaustive by column backtracking with Gram-constraint pruning;
-    matrices that agree after reduction to canonical torsion residues
+    Exhaustive column backtracking.  Candidate columns are bucketed by
+    norm, so column j only tries images c with Q2(c, c) = Q1[j][j], and
+    each off-diagonal Gram constraint against an earlier column is one
+    dot product with the precomputed c^T Q2.  Within a bucket the order
+    is by L1 norm, then lexicographic, so the yield order is fixed.
+    Matrices that agree after reduction to canonical torsion residues
     are yielded once.
+
+    With match_values=True a branch is cut as soon as a tabulated class
+    of d1 maps to a class tabulated in d2 with a different value (the
+    class is mapped once the column of its highest nonzero coordinate
+    is fixed).  The isometries still yielded are exactly those without
+    such a mismatch, in the same order.
+
+    Raises CapacityError, before building anything, when a module has
+    more than SEARCH_RANK_LIMIT generators or the (2*bound + 1)^n2
+    candidate columns (n2 generators in d2) exceed SEARCH_CANDIDATE_LIMIT.
     """
     if bound < 1:
         raise PreconditionError("bound must be at least 1")
-    if d1.ngens > SEARCH_RANK_LIMIT or d2.ngens > SEARCH_RANK_LIMIT:
-        raise CapacityError(
-            f"exhaustive search supports at most {SEARCH_RANK_LIMIT} generators"
-        )
     n1, n2 = d1.ngens, d2.ngens
-    q1, q2 = d1.form, d2.form
-    cands = {t: _column_candidates(d2, bound, t) for t in set(d1.orders)}
+    if max(n1, n2) > SEARCH_RANK_LIMIT:
+        raise CapacityError(
+            f"exhaustive search supports at most {SEARCH_RANK_LIMIT} "
+            f"generators, got {max(n1, n2)}"
+        )
+    size = (2 * bound + 1) ** n2
+    if size > SEARCH_CANDIDATE_LIMIT:
+        raise CapacityError(
+            f"bound {bound} on {n2} generators gives {size} candidate "
+            f"columns, above the limit of {SEARCH_CANDIDATE_LIMIT}"
+        )
+    levels = [[] for _ in range(n1)]
+    if match_values:
+        zero1, zero2 = (0,) * n1, (0,) * n2
+        want, got = d1.gvalues.get(zero1), d2.gvalues.get(zero2)
+        if want is not None and got is not None and got != want:
+            return
+        levels = _classes_by_level(d1)
+    q1 = d1.form.entries
+    buckets = {t: _norm_buckets(d2, bound, t) for t in set(d1.orders)}
+    # Without codomain torsion module_hom reduces nothing, so distinct
+    # column choices give distinct matrices.
+    dedup = not d2.is_torsion_free
+    # For symmetric forms the Gram checks give M^T Q2 M = Q1, so
+    # det(M)^2 = 1 when det Q1 = det Q2 != 0 and there is no torsion.
+    check_iso = not (n1 == n2 and d1.is_torsion_free and d2.is_torsion_free
+                     and determinant(d1.form) == determinant(d2.form) != 0)
     cols = [None] * n1
     seen = set()
 
@@ -514,24 +600,21 @@ def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int):
         if j == n1:
             rows = [[cols[c][r] for c in range(n1)] for r in range(n2)]
             hom = module_hom(d1, d2, IntMatrix.from_rows(rows, cols=n1))
-            key = hom.matrix.entries
-            if key in seen:
-                return
-            seen.add(key)
-            if hom.is_isomorphism():
+            if dedup:
+                key = hom.matrix.entries
+                if key in seen:
+                    return
+                seen.add(key)
+            if not check_iso or hom.is_isomorphism():
                 yield hom
             return
-        for c in cands[d1.orders[j]]:
-            if _bilinear(q2, c, c) != q1[j, j]:
-                continue
-            ok = True
-            for i in range(j):
-                if _bilinear(q2, c, cols[i]) != q1[j, i]:
-                    ok = False
-                    break
-            if not ok:
+        row = q1[j]
+        for c, cq in buckets[d1.orders[j]].get(row[j], ()):
+            if any(sum(map(mul, cq, cols[i])) != row[i] for i in range(j)):
                 continue
             cols[j] = c
+            if levels[j] and _values_clash(levels[j], cols, d2):
+                continue
             yield from walk(j + 1)
         cols[j] = None
 
@@ -562,8 +645,6 @@ def isometry_exists(q1: IntMatrix, q2: IntMatrix, bound: int):
         return IntMatrix.identity(n1)
     if determinant(q1) != determinant(q2):
         return None
-    from .intmat import signature
-
     if signature(q1) != signature(q2):
         return None
     odd1 = any(q1[i, i] % 2 != 0 for i in range(n1))
@@ -609,9 +690,15 @@ def algebraically_equivalent(d1: DecoratedModule, d2: DecoratedModule,
     of the first table to a queried class of the second with the same
     value.  Candidates that leave the queried tables are reported as
     undecided rather than silently rejected.
+
+    The search runs with match_values=True: branches whose isometries
+    would all map some queried class to a different queried value are
+    cut early.  Such candidates are neither witnesses nor undecided, so
+    the first witness and the undecided list are those of the full
+    search.
     """
     undecided = []
-    for hom in iter_isometries(d1, d2, bound):
+    for hom in iter_isometries(d1, d2, bound, match_values=True):
         mism, missing = check_g_preservation(hom)
         if mism:
             continue

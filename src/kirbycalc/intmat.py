@@ -21,53 +21,45 @@ from .errors import DimensionError
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """An immutable integer matrix stored as a tuple of row tuples."""
+    """An immutable integer matrix stored as a tuple of row tuples.
+
+    The column count is part of the value, so 0 x n matrices of
+    different widths are distinct.
+    """
 
     entries: tuple
+    cols: int | None = None
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in row) for row in self.entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        width = len(rows[0]) if rows else int(self.cols or 0)
+        if any(len(r) != width for r in rows):
             raise DimensionError("ragged rows")
+        if self.cols is not None and self.cols != width:
+            raise DimensionError(f"rows of length {width} but cols={self.cols}")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "cols", width)
 
     @property
     def rows(self) -> int:
         return len(self.entries)
 
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
     @classmethod
     def from_rows(cls, rows, cols=None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if not rows and cols is not None:
-            # 0 x cols matrix: keep the column count recoverable
-            m = cls(())
-            object.__setattr__(m, "_empty_cols", int(cols))
-            return m
-        return cls(tuple(tuple(r) for r in rows))
+        rows = list(rows)
+        # cols only fixes the width of a matrix without rows
+        return cls(rows, None if rows else cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "IntMatrix":
-        m = cls(tuple(tuple(0 for _ in range(c)) for _ in range(r)))
-        if r == 0:
-            object.__setattr__(m, "_empty_cols", int(c))
-        return m
-
-    def _ccols(self) -> int:
-        # column count that survives r == 0
-        if self.entries:
-            return len(self.entries[0])
-        return getattr(self, "_empty_cols", 0)
+        return cls(tuple(tuple(0 for _ in range(c)) for _ in range(r)), c)
 
     def shape(self):
-        return (self.rows, self._ccols())
+        return (self.rows, self.cols)
 
     def __getitem__(self, ij):
         i, j = ij

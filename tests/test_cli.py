@@ -136,6 +136,15 @@ def test_stability_quasi_command(files, capsys):
     assert "verdict: CONSISTENT" in out
 
 
+def test_equiv_bound_over_capacity_exits_2(files, capsys):
+    mod = files("i4.mod", render_module(
+        decorated_module((0,) * 4, IntMatrix.identity(4), {(0, 0, 0, 0): 0})))
+    code, out, err = run(capsys, "equiv", mod, mod, "--bound", "50")
+    assert code == 2
+    assert out == ""
+    assert "104060401" in err and "100000" in err
+
+
 def test_outputs_are_deterministic(files, capsys):
     rng = random.Random(99)
     h = rand_handlebody(rng, with_fronts=True)

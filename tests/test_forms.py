@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -9,11 +10,15 @@ from kirbycalc.errors import (
     PreconditionError,
 )
 from kirbycalc.forms import (
+    SEARCH_CANDIDATE_LIMIT,
+    SEARCH_RANK_LIMIT,
     ModuleHom,
     algebraically_equivalent,
+    check_g_preservation,
     decorated_module,
     enumerate_isometries,
     identity_hom,
+    iter_isometries,
     module_hom,
     negation_hom,
     preserves_form,
@@ -263,8 +268,134 @@ def test_enumerate_matches_naive_enumeration():
 
 def test_enumerate_capacity_guard():
     d = decorated_module((0,) * 5, IntMatrix.zeros(5, 5))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=f"at most {SEARCH_RANK_LIMIT} generators, got 5"):
         enumerate_isometries(d, d, 1)
+
+
+def test_candidate_size_guard_raises_before_allocating():
+    d = decorated_module((0,) * 4, IntMatrix.identity(4))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as err:
+        next(iter_isometries(d, d, 50))
+    assert time.perf_counter() - start < 1.0
+    assert str(101 ** 4) in str(err.value)
+    assert str(SEARCH_CANDIDATE_LIMIT) in str(err.value)
+
+
+HYPERBOLIC_PAIR = IntMatrix(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+
+
+@pytest.mark.parametrize("form, bound, count", [
+    (IntMatrix.identity(4), 2, 384),
+    (HYPERBOLIC_PAIR, 1, 800),
+    (HYPERBOLIC_PAIR, 2, 3360),
+])
+def test_enumerate_pinned_counts(form, bound, count):
+    d = decorated_module((0,) * 4, form)
+    assert len(enumerate_isometries(d, d, bound)) == count
+
+
+def _plain_scan(d1, d2, bound):
+    """Reference search: every candidate column in L1-then-lexicographic
+    order, each Gram constraint as a double sum, every leaf deduplicated
+    and tested with is_isomorphism."""
+    q1, q2 = d1.form.entries, d2.form.entries
+    n1, n2 = d1.ngens, d2.ngens
+
+    def gram(v, w):
+        return sum(v[a] * q2[a][b] * w[b] for a in range(n2) for b in range(n2))
+
+    def fits(vec, order):
+        return all(order * x == 0 if u == 0 else (order * x) % u == 0
+                   for x, u in zip(vec, d2.orders))
+
+    box = sorted(itertools.product(range(-bound, bound + 1), repeat=n2),
+                 key=lambda v: (sum(map(abs, v)), v))
+    out, seen = [], set()
+
+    def walk(cols):
+        j = len(cols)
+        if j == n1:
+            hom = module_hom(d1, d2, IntMatrix.from_rows(
+                [[c[r] for c in cols] for r in range(n2)], cols=n1))
+            if hom.matrix.entries not in seen:
+                seen.add(hom.matrix.entries)
+                if hom.is_isomorphism():
+                    out.append(hom.matrix.entries)
+            return
+        for c in box:
+            if (d1.orders[j] == 0 or fits(c, d1.orders[j])) and all(
+                    gram(c, cols[i]) == q1[j][i] for i in range(j)) \
+                    and gram(c, c) == q1[j][j]:
+                walk(cols + [c])
+
+    walk([])
+    return out
+
+
+def test_search_order_matches_plain_scan():
+    rng = random.Random(73)
+    for _ in range(25):
+        d1 = rand_decorated(rng, rank=rng.randint(1, 3), max_entry=2,
+                            torsion=rng.random() < 0.4)
+        d2 = equivalent_copy(rng, d1) if rng.random() < 0.7 else rand_decorated(
+            rng, rank=d1.free_rank, max_entry=2, torsion=rng.random() < 0.4)
+        bound = 2 if d1.ngens <= 2 else 1
+        found = [h.matrix.entries for h in iter_isometries(d1, d2, bound)]
+        assert found == _plain_scan(d1, d2, bound)
+
+
+def _unpruned_equivalence(d1, d2, bound):
+    """algebraically_equivalent without value pruning: scan every
+    isometry in search order and filter with check_g_preservation."""
+    undecided = []
+    for hom in iter_isometries(d1, d2, bound):
+        mism, missing = check_g_preservation(hom)
+        if mism:
+            continue
+        if missing:
+            undecided.append((hom.matrix.entries, missing))
+            continue
+        return hom.matrix.entries, ()
+    return None, tuple(undecided)
+
+
+def _thinned(rng, d, keep=0.7, flips=0):
+    """d with a random part of its table dropped and a few values changed."""
+    table = {k: v for k, v in d.gvalues.items() if rng.random() < keep}
+    for key in rng.sample(sorted(table), min(flips, len(table))):
+        table[key] = rng.randint(4, 6)
+    return decorated_module(d.orders, d.form, table)
+
+
+def test_value_pruning_matches_unpruned_reference():
+    rng = random.Random(89)
+    outcomes = set()
+    for _ in range(60):
+        rank = rng.randint(2, 3)
+        torsion = rng.random() < 0.4
+        bound = rng.randint(1, 2) if rank + torsion <= 3 else 1
+        d1 = rand_decorated(rng, rank=rank, max_entry=2, radius=1,
+                            torsion=torsion)
+        d2 = equivalent_copy(rng, d1) if rng.random() < 0.7 else rand_decorated(
+            rng, rank=rank, max_entry=2, radius=1, torsion=torsion)
+        d1 = _thinned(rng, d1, keep=rng.choice((1.0, 0.8)))
+        d2 = _thinned(rng, d2, keep=rng.choice((1.0, 0.7)),
+                      flips=rng.choice((0, 0, 1)))
+        res = algebraically_equivalent(d1, d2, bound)
+        got = (res.witness.matrix.entries if res.witness else None, res.undecided)
+        assert got == _unpruned_equivalence(d1, d2, bound)
+        outcomes.add((res.equivalent, bool(res.undecided)))
+    # the sample covers witnesses, undecided candidates and plain misses
+    assert {(True, False), (False, True), (False, False)} <= outcomes
+
+
+def test_zero_class_mismatch_ends_the_search():
+    d1 = decorated_module((0,), IntMatrix(((1,),)), {(0,): 0, (1,): 0})
+    d2 = decorated_module((0,), IntMatrix(((1,),)), {(0,): 1, (1,): 0})
+    assert list(iter_isometries(d1, d2, 1, match_values=True)) == []
+    assert len(list(iter_isometries(d1, d2, 1))) == 2
+    assert not algebraically_equivalent(d1, d2, 1).equivalent
 
 
 def test_torsion_isometries_are_deduplicated():

@@ -70,6 +70,18 @@ def test_snf_empty_and_flat():
     check_snf(IntMatrix.zeros(0, 0))
 
 
+def test_empty_matrices_keep_their_width():
+    a = IntMatrix.from_rows([], cols=3)
+    b = IntMatrix.from_rows([], cols=5)
+    assert a.shape() == (0, 3) and b.shape() == (0, 5)
+    assert a != b and not a.equals(b)
+    assert hash(a) != hash(b)
+    assert a == IntMatrix.zeros(0, 3) == IntMatrix.zeros(3, 0).transpose()
+    assert hash(a) == hash(IntMatrix.zeros(0, 3))
+    with pytest.raises(DimensionError):
+        IntMatrix(((1, 2),), cols=3)
+
+
 def test_snf_random_property():
     rng = random.Random(101)
     for _ in range(200):
