@@ -119,15 +119,9 @@ def cmd_cork(args) -> int:
     return 0
 
 
-def cmd_wminus(args) -> int:
+def cmd_w_move(args) -> int:
     h = _load_handlebody(args.file)
-    sys.stdout.write(render_handlebody(w_minus(h, args.idx - 1, args.p)))
-    return 0
-
-
-def cmd_wplus(args) -> int:
-    h = _load_handlebody(args.file)
-    sys.stdout.write(render_handlebody(w_plus(h, args.idx - 1, args.p)))
+    sys.stdout.write(render_handlebody(args.move(h, args.idx - 1, args.p)))
     return 0
 
 
@@ -214,12 +208,7 @@ def cmd_kmbound(args) -> int:
     return 0
 
 
-def cmd_stability_sum(args) -> int:
-    d1 = parse_module(_read_text(args.x1))
-    d2 = parse_module(_read_text(args.x2))
-    z1 = parse_module(_read_text(args.z1))
-    z2 = parse_module(_read_text(args.z2))
-    report = sum_stability_check(d1, d2, z1, z2, args.mode, args.bound)
+def _emit_stability(report) -> int:
     pairs = [
         ("verdict", report.verdict),
         ("mode", report.mode),
@@ -229,6 +218,15 @@ def cmd_stability_sum(args) -> int:
     _emit(pairs, f"{report.verdict}: before {report.before.verdict}, "
                  f"after {report.after.verdict}")
     return 0 if report.implication_ok else 1
+
+
+def cmd_stability_sum(args) -> int:
+    d1 = parse_module(_read_text(args.x1))
+    d2 = parse_module(_read_text(args.x2))
+    z1 = parse_module(_read_text(args.z1))
+    z2 = parse_module(_read_text(args.z2))
+    return _emit_stability(
+        sum_stability_check(d1, d2, z1, z2, args.mode, args.bound))
 
 
 def cmd_stability_quasi(args) -> int:
@@ -241,16 +239,8 @@ def cmd_stability_quasi(args) -> int:
         cob = trivial_ends_model(k)
         glue = module_hom(cob.h2_m, x, IntMatrix.zeros(x.ngens, 0))
         models.append(AttachmentModel(x=x, cob=cob, glue=glue))
-    report = stability_check_quasi(models[0], models[1], args.bound)
-    pairs = [
-        ("verdict", report.verdict),
-        ("mode", report.mode),
-        ("before", report.before.verdict),
-        ("after", report.after.verdict),
-    ]
-    _emit(pairs, f"{report.verdict}: before {report.before.verdict}, "
-                 f"after {report.after.verdict}")
-    return 0 if report.implication_ok else 1
+    return _emit_stability(
+        stability_check_quasi(models[0], models[1], args.bound))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("idx", type=int, help="1-based 2-handle id")
     p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_wminus)
+    p.set_defaults(func=cmd_w_move, move=w_minus)
 
     p = sub.add_parser("wplus", help="tb-raising canceling-pair insertion")
     p.add_argument("file")
     p.add_argument("idx", type=int, help="1-based 2-handle id")
     p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_wplus)
+    p.set_defaults(func=cmd_w_move, move=w_plus)
 
     p = sub.add_parser("steinify", help="drive every framing to tb - 1")
     p.add_argument("file")

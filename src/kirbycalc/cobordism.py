@@ -23,14 +23,24 @@ from dataclasses import dataclass, field
 from .errors import PreconditionError
 from .forms import (
     DecoratedModule,
-    EquivalenceResult,
     ModuleHom,
-    algebraically_equivalent,
+    StabilityReport,
+    canonical_key,
     compose,
     decorated_module,
     module_hom,
+    stability_report,
+    sum_module,
 )
-from .intmat import IntMatrix, block_diag, cokernel, kernel_basis, smith_normal_form
+from .intmat import (
+    FgAbelianGroup,
+    IntMatrix,
+    cokernel,
+    kernel_basis,
+    smith_normal_form,
+    solve_integer,
+    with_relations,
+)
 from .values import OrderedValue
 
 
@@ -38,18 +48,12 @@ from .values import OrderedValue
 # submodules of a decorated module
 
 
-def _relation_columns(d: DecoratedModule) -> IntMatrix:
-    """Columns t_i * e_i over the torsion generators of d."""
-    tor = d.torsion_indices
-    rows = []
-    for coord in range(d.ngens):
-        rows.append([d.orders[i] if i == coord else 0 for i in tor])
-    return IntMatrix.from_rows(rows, cols=len(tor))
-
-
-def _gens_matrix(ambient: DecoratedModule, gens) -> IntMatrix:
+def _presentation(ambient: DecoratedModule, gens) -> IntMatrix:
+    """[gens | torsion relations]: columns spanning the submodule's
+    preimage in the free lattice over the ambient generators."""
     rows = [[g[coord] for g in gens] for coord in range(ambient.ngens)]
-    return IntMatrix.from_rows(rows, cols=len(gens))
+    return with_relations(IntMatrix.from_rows(rows, cols=len(gens)),
+                          ambient.orders)
 
 
 @dataclass(frozen=True)
@@ -66,27 +70,15 @@ class SubmodulePresentation:
     gens: tuple
     orders: tuple
     _u: IntMatrix = field(compare=False)
-    _u_inv: IntMatrix = field(compare=False)
-    _divisors: tuple = field(compare=False)
     _kept: tuple = field(compare=False)
 
-    @property
-    def abstract_orders(self):
-        return self.orders
-
     def abstract_group(self):
-        from .intmat import FgAbelianGroup
-
         return FgAbelianGroup.from_orders(self.orders)
 
     def coords(self, coefficients):
         """Abstract key of sum(coefficients[i] * gens[i])."""
         y = self._u.apply(tuple(coefficients))
-        out = []
-        for pos, i in enumerate(self._kept):
-            d = self._divisors[i]
-            out.append(y[i] % d if d >= 2 else y[i])
-        return tuple(out)
+        return canonical_key(self.orders, [y[i] for i in self._kept])
 
     def vector_of(self, key):
         """An ambient coefficient vector representing the abstract key."""
@@ -95,7 +87,8 @@ class SubmodulePresentation:
         y = [0] * len(self.gens)
         for pos, i in enumerate(self._kept):
             y[i] = key[pos]
-        v = self._u_inv.apply(tuple(y))
+        # U is unimodular, so U v = y has exactly one integer solution
+        v = solve_integer(self._u, y)
         amb = [0] * self.ambient.ngens
         for coeff, g in zip(v, self.gens):
             for c in range(self.ambient.ngens):
@@ -104,15 +97,7 @@ class SubmodulePresentation:
 
     def membership(self, vec):
         """Abstract key of an ambient vector, or None when outside."""
-        from .intmat import solve_integer
-
-        gmat = _gens_matrix(self.ambient, self.gens)
-        rel = _relation_columns(self.ambient)
-        rows = []
-        for i in range(self.ambient.ngens):
-            rows.append(list(gmat.entries[i]) + list(rel.entries[i]))
-        stacked = IntMatrix.from_rows(rows, cols=len(self.gens) + rel.shape()[1])
-        sol = solve_integer(stacked, tuple(vec))
+        sol = solve_integer(_presentation(self.ambient, self.gens), tuple(vec))
         if sol is None:
             return None
         return self.coords(sol[: len(self.gens)])
@@ -123,17 +108,9 @@ def submodule(ambient: DecoratedModule, gens) -> SubmodulePresentation:
     gens = tuple(ambient.key(g) for g in gens)
     m = len(gens)
     if m == 0:
-        ident = IntMatrix.identity(0)
         return SubmodulePresentation(ambient=ambient, gens=(), orders=(),
-                                     _u=ident, _u_inv=ident, _divisors=(),
-                                     _kept=())
-    gmat = _gens_matrix(ambient, gens)
-    rel = _relation_columns(ambient)
-    rows = []
-    for i in range(ambient.ngens):
-        rows.append(list(gmat.entries[i]) + list(rel.entries[i]))
-    stacked = IntMatrix.from_rows(rows, cols=m + rel.shape()[1])
-    ker = kernel_basis(stacked)
+                                     _u=IntMatrix.identity(0), _kept=())
+    ker = kernel_basis(_presentation(ambient, gens))
     relmat = ker.submatrix(range(m), range(ker.shape()[1]))
     snf = smith_normal_form(relmat)
     diag = snf.diagonal()
@@ -141,25 +118,9 @@ def submodule(ambient: DecoratedModule, gens) -> SubmodulePresentation:
     kept = tuple(i for i in range(m) if divisors[i] != 1)
     orders = tuple(divisors[i] for i in kept)
     # U relmat V = D, so the abstract coordinates of a coefficient vector
-    # v are U v, reduced modulo the diagonal; for unimodular U the SNF
-    # gives the inverse as V * U of the identity decomposition
-    u = snf.u
-    u_snf = smith_normal_form(u)
-    u_inv = u_snf.v.mul(u_snf.u)  # U^-1 = V U when U D V' = I with D = I
-    if not u.mul(u_inv).equals(IntMatrix.identity(m)):
-        # fall back: solve column by column (still exact)
-        from .intmat import solve_integer
-
-        cols = []
-        for i in range(m):
-            e = tuple(1 if j == i else 0 for j in range(m))
-            cols.append(solve_integer(u, e))
-        u_inv = IntMatrix.from_rows(
-            [[cols[j][i] for j in range(m)] for i in range(m)], cols=m
-        )
+    # v are U v, reduced modulo the diagonal
     return SubmodulePresentation(ambient=ambient, gens=gens, orders=orders,
-                                 _u=u, _u_inv=u_inv, _divisors=divisors,
-                                 _kept=kept)
+                                 _u=snf.u, _kept=kept)
 
 
 def hom_image(phi: ModuleHom) -> SubmodulePresentation:
@@ -169,13 +130,7 @@ def hom_image(phi: ModuleHom) -> SubmodulePresentation:
 
 def hom_kernel_gens(phi: ModuleHom):
     """Generators (in the domain) of the kernel of phi."""
-    rel = _relation_columns(phi.codomain)
-    rows = []
-    for i in range(phi.codomain.ngens):
-        rows.append(list(phi.matrix.entries[i]) + list(rel.entries[i]))
-    stacked = IntMatrix.from_rows(rows,
-                                  cols=phi.domain.ngens + rel.shape()[1])
-    ker = kernel_basis(stacked)
+    ker = kernel_basis(with_relations(phi.matrix, phi.codomain.orders))
     n = phi.domain.ngens
     gens = []
     for j in range(ker.shape()[1]):
@@ -197,13 +152,7 @@ def hom_is_injective(phi: ModuleHom) -> bool:
 def spans_ambient(ambient: DecoratedModule, gen_sets) -> bool:
     """Do the given vectors together generate the whole module?"""
     gens = [g for gs in gen_sets for g in gs]
-    gmat = _gens_matrix(ambient, gens)
-    rel = _relation_columns(ambient)
-    rows = []
-    for i in range(ambient.ngens):
-        rows.append(list(gmat.entries[i]) + list(rel.entries[i]))
-    stacked = IntMatrix.from_rows(rows, cols=len(gens) + rel.shape()[1])
-    return cokernel(stacked).is_trivial
+    return cokernel(_presentation(ambient, gens)).is_trivial
 
 
 def decomposes_as_direct_sum(ambient: DecoratedModule,
@@ -348,9 +297,8 @@ def attach(a: AttachmentModel) -> AttachResult:
     quasi-invertible cobordism, zero glue map on H2, or non-degenerate
     torsion-free X); refuses otherwise, since the decomposition may
     fail.  The intersection form extends by zero on the K summand.
-    Genus values are copied onto classes alpha (+) 0, and onto
-    alpha (+) beta whenever the cobordism's table pins the value on
-    beta to 0 (the interval estimate collapses there).
+    Genus values carry over as in forms.sum_module, pinned on each class
+    of H2(P) that lies in K and has value 0 in the cobordism's table.
     """
     condition = _attach_condition(a)
     if condition is None:
@@ -360,26 +308,16 @@ def attach(a: AttachmentModel) -> AttachResult:
             "the direct-sum decomposition may fail"
         )
     k = a.cob.k_part
-    k_orders = k.abstract_orders
-    orders = a.x.orders + k_orders
-    form = block_diag(a.x.form, IntMatrix.zeros(len(k_orders), len(k_orders)))
-    zero_k = (0,) * len(k_orders)
-    table = {}
-    for key, val in a.x.gvalues.items():
-        table[key + zero_k] = val
-    forced_betas = []
+    pinned = []
     for pkey, pval in a.cob.h2_p.gvalues.items():
-        if pval != OrderedValue.of(0):
+        if pval != 0:
             continue
         beta = k.membership(pkey)
-        if beta is None or beta == zero_k:
-            continue
-        forced_betas.append(beta)
-    for beta in forced_betas:
-        for key, val in a.x.gvalues.items():
-            table[key + beta] = val
-    module = decorated_module(orders, form, table)
-    return AttachResult(module=module, x_gens=a.x.ngens, k_orders=k_orders,
+        if beta is not None:
+            pinned.append(beta)
+    width = len(k.orders)
+    module = sum_module(a.x, k.orders, IntMatrix.zeros(width, width), pinned)
+    return AttachResult(module=module, x_gens=a.x.ngens, k_orders=k.orders,
                         condition=condition)
 
 
@@ -401,20 +339,8 @@ def interval_check(gx_alpha, gp_beta, claimed) -> bool:
     return lo <= claimed <= hi
 
 
-@dataclass(frozen=True)
-class QuasiStabilityReport:
-    mode: str
-    before: EquivalenceResult
-    after: EquivalenceResult
-    implication_ok: bool
-
-    @property
-    def verdict(self) -> str:
-        return "CONSISTENT" if self.implication_ok else "VIOLATION"
-
-
 def stability_check_quasi(a1: AttachmentModel, a2: AttachmentModel,
-                          bound: int) -> QuasiStabilityReport:
+                          bound: int) -> StabilityReport:
     """Check a stability statement on a pair of attachment models.
 
     Two hypothesis regimes are recognized from the flags. "h2-iso": both
@@ -423,8 +349,7 @@ def stability_check_quasi(a1: AttachmentModel, a2: AttachmentModel,
     and after must agree exactly.  "non-degenerate": both X-forms are
     non-degenerate and the X-groups or the K summands are torsion-free;
     then equivalence after the attachments must imply equivalence
-    before.  A violated implication is a bug, not a property of the
-    input: the underlying statements guarantee it.
+    before.
     """
     cond1, cond2 = _attach_condition(a1), _attach_condition(a2)
     if cond1 is None or cond2 is None:
@@ -443,15 +368,8 @@ def stability_check_quasi(a1: AttachmentModel, a2: AttachmentModel,
                 "hypotheses are established by the flags"
             )
         mode = "non-degenerate"
-    before = algebraically_equivalent(a1.x, a2.x, bound)
-    after = algebraically_equivalent(attach(a1).module, attach(a2).module,
-                                     bound)
-    if mode == "h2-iso":
-        ok = before.equivalent == after.equivalent
-    else:
-        ok = before.equivalent or not after.equivalent
-    return QuasiStabilityReport(mode=mode, before=before, after=after,
-                                implication_ok=ok)
+    return stability_report(mode, mode == "h2-iso", (a1.x, a2.x),
+                            (attach(a1).module, attach(a2).module), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import mul
+from operator import index, mul
 
 from .errors import (
     CapacityError,
@@ -35,6 +35,7 @@ from .intmat import (
     cokernel,
     determinant,
     signature,
+    with_relations,
 )
 from .values import OrderedValue
 
@@ -44,13 +45,16 @@ SEARCH_CANDIDATE_LIMIT = 10**5
 
 
 def canonical_key(orders, vec):
-    """Reduce a coefficient vector to its canonical residue representative."""
+    """Reduce a coefficient vector to its canonical residue representative.
+
+    Coefficients must be integers; floats and strings raise TypeError.
+    """
     if len(vec) != len(orders):
         raise DimensionError(
             f"coefficient vector of length {len(vec)} on {len(orders)} generators"
         )
     return tuple(
-        int(c) if t == 0 else int(c) % t for c, t in zip(vec, orders)
+        index(c) if t == 0 else index(c) % t for c, t in zip(vec, orders)
     )
 
 
@@ -104,9 +108,6 @@ class DecoratedModule:
 
     def free_form_nondegenerate(self) -> bool:
         return determinant(self.free_form()) != 0
-
-    def zero_key(self):
-        return (0,) * self.ngens
 
 
 def decorated_module(orders, form=None, gvalues=None) -> DecoratedModule:
@@ -175,17 +176,7 @@ class ModuleHom:
         # torsion generators together with the codomain relations must
         # span everything
         tblock = self.matrix.submatrix(tc, td)
-        rel = IntMatrix.from_rows(
-            [
-                [cod.orders[i] if a == b else 0 for b in range(len(tc))]
-                for a, i in enumerate(tc)
-            ],
-            cols=len(tc),
-        )
-        rows = []
-        for a in range(len(tc)):
-            rows.append(list(tblock.entries[a]) + list(rel.entries[a]))
-        stacked = IntMatrix.from_rows(rows, cols=len(td) + len(tc))
+        stacked = with_relations(tblock, [cod.orders[i] for i in tc])
         return cokernel(stacked).is_trivial
 
 
@@ -393,6 +384,32 @@ def _require_g_preserving(phi: ModuleHom):
     return undecided
 
 
+def _component_report(hom: ModuleHom, s1: SplitModule, s2: SplitModule,
+                      label: str) -> SplitGReport:
+    """G-preservation of the projected A- or B-component on its classes."""
+    if label == "A":
+        lies_in, coords, embed = s1.lies_in_a, s1.a_coords, s2.embed_a
+    else:
+        lies_in, coords, embed = s1.lies_in_b, s1.b_coords, s2.embed_b
+    verified, unverified = [], []
+    table2 = s2.total.gvalues
+    for key, val in sorted(s1.total.gvalues.items()):
+        if not lies_in(key):
+            continue
+        key2 = embed(hom.apply(coords(key)))
+        if key2 not in table2:
+            unverified.append(key)
+            continue
+        if table2[key2] != val:
+            raise VerificationError(
+                f"{label}-component fails to preserve the value table",
+                witness=key,
+            )
+        verified.append(key)
+    return SplitGReport(hom=hom, verified=tuple(verified),
+                        unverified=tuple(unverified))
+
+
 def split_preserving_g_on_b(phi: ModuleHom, s1: SplitModule,
                             s2: SplitModule) -> SplitGReport:
     """B-component of phi, with G-preservation verified on B-classes.
@@ -407,23 +424,7 @@ def split_preserving_g_on_b(phi: ModuleHom, s1: SplitModule,
     _require_g_preserving(phi)
     _, hom_b = split_projection(phi, s1, s2)
 
-    verified, unverified = [], []
-    table2 = s2.total.gvalues
-    for key, val in sorted(s1.total.gvalues.items()):
-        if not s1.lies_in_b(key):
-            continue
-        img = hom_b.apply(s1.b_coords(key))
-        key2 = s2.embed_b(img)
-        if key2 not in table2:
-            unverified.append(key)
-            continue
-        if table2[key2] != val:
-            raise VerificationError(
-                "B-component fails to preserve the value table", witness=key
-            )
-        verified.append(key)
-    return SplitGReport(hom=hom_b, verified=tuple(verified),
-                        unverified=tuple(unverified))
+    return _component_report(hom_b, s1, s2, "B")
 
 
 def _check_monotone_on_table(s: SplitModule, label: str):
@@ -453,23 +454,7 @@ def split_preserving_g_on_a(phi: ModuleHom, s1: SplitModule,
     _require_g_preserving(phi)
     hom_a, _ = split_projection(phi, s1, s2)
 
-    verified, unverified = [], []
-    table2 = s2.total.gvalues
-    for key, val in sorted(s1.total.gvalues.items()):
-        if not s1.lies_in_a(key):
-            continue
-        img = hom_a.apply(s1.a_coords(key))
-        key2 = s2.embed_a(img)
-        if key2 not in table2:
-            unverified.append(key)
-            continue
-        if table2[key2] != val:
-            raise VerificationError(
-                "A-component fails to preserve the value table", witness=key
-            )
-        verified.append(key)
-    return SplitGReport(hom=hom_a, verified=tuple(verified),
-                        unverified=tuple(unverified))
+    return _component_report(hom_a, s1, s2, "A")
 
 
 # ---------------------------------------------------------------------------
@@ -708,3 +693,54 @@ def algebraically_equivalent(d1: DecoratedModule, d2: DecoratedModule,
         return EquivalenceResult(equivalent=True, witness=hom, undecided=())
     return EquivalenceResult(equivalent=False, witness=None,
                              undecided=tuple(undecided))
+
+
+# ---------------------------------------------------------------------------
+# stability of equivalence under sums and attachments
+
+
+def sum_module(x: DecoratedModule, orders, form: IntMatrix,
+               pinned) -> DecoratedModule:
+    """X (+) Y, where Y has the given generator orders and form.
+
+    The form is block diagonal.  X's values transfer exactly onto
+    alpha (+) 0 and onto alpha (+) beta for each pinned beta, a class of
+    Y whose value is pinned to 0 so the two-sided estimate collapses.
+    Other classes stay unqueried.
+    """
+    table = {}
+    for beta in ((0,) * len(orders), *pinned):
+        for key, val in x.gvalues.items():
+            table[key + beta] = val
+    return decorated_module(x.orders + tuple(orders),
+                            block_diag(x.form, form), table)
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    mode: str
+    before: EquivalenceResult
+    after: EquivalenceResult
+    implication_ok: bool
+
+    @property
+    def verdict(self) -> str:
+        return "CONSISTENT" if self.implication_ok else "VIOLATION"
+
+
+def stability_report(mode: str, exact: bool, before_pair, after_pair,
+                     bound: int) -> StabilityReport:
+    """Bounded equivalence of both pairs, checked against the statement.
+
+    exact: the verdicts must agree; otherwise equivalence after must
+    imply equivalence before.  A violation is a bug, not a property of
+    the input: the underlying statements guarantee the implication.
+    """
+    before = algebraically_equivalent(*before_pair, bound)
+    after = algebraically_equivalent(*after_pair, bound)
+    if exact:
+        ok = before.equivalent == after.equivalent
+    else:
+        ok = before.equivalent or not after.equivalent
+    return StabilityReport(mode=mode, before=before, after=after,
+                           implication_ok=ok)

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from .errors import CapacityError, PreconditionError
 from .forms import (
     DecoratedModule,
-    EquivalenceResult,
-    algebraically_equivalent,
+    StabilityReport,
     decorated_module,
+    stability_report,
+    sum_module,
 )
-from .intmat import IntMatrix, block_diag, signature
+from .intmat import IntMatrix, signature
 from .values import POS_INF, OrderedValue
 
 TORSION_ENUMERATION_LIMIT = 4096
@@ -107,10 +108,6 @@ class AgValue:
 
     value: OrderedValue
     capped: bool = False
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value == POS_INF
 
     def __str__(self):
         s = str(self.value)
@@ -258,46 +255,15 @@ def torsion_free_reduce(d: DecoratedModule) -> TorsionFreeReduction:
 # stability of equivalence under sums
 
 
-@dataclass(frozen=True)
-class SumStabilityReport:
-    mode: str
-    before: EquivalenceResult
-    after: EquivalenceResult
-    implication_ok: bool
-
-    @property
-    def verdict(self) -> str:
-        return "CONSISTENT" if self.implication_ok else "VIOLATION"
-
-
-def extend_table_over_sum(d: DecoratedModule, z: DecoratedModule):
-    """Value table of the sum model X (+) Z.
-
-    Values transfer exactly onto alpha (+) 0, and onto alpha (+) beta
-    whenever the Z-table pins beta to 0 so the two-sided estimate
-    collapses; other classes stay unqueried.
-    """
-    zero_z = (0,) * z.ngens
-    table = {}
-    for key, val in d.gvalues.items():
-        table[key + zero_z] = val
-    for zkey, zval in z.gvalues.items():
-        if zkey == zero_z or zval != OrderedValue.of(0):
-            continue
-        for key, val in d.gvalues.items():
-            table[key + zkey] = val
-    return table
-
-
 def sum_model(d: DecoratedModule, z: DecoratedModule) -> DecoratedModule:
-    orders = d.orders + z.orders
-    form = block_diag(d.form, z.form)
-    return decorated_module(orders, form, extend_table_over_sum(d, z))
+    """X (+) Z, with X's values pinned on every class the Z-table sets to 0."""
+    pinned = [key for key, val in z.gvalues.items() if val == 0]
+    return sum_module(d, z.orders, z.form, pinned)
 
 
 def sum_stability_check(d1: DecoratedModule, d2: DecoratedModule,
                         z1: DecoratedModule, z2: DecoratedModule,
-                        mode: str, bound: int) -> SumStabilityReport:
+                        mode: str, bound: int) -> StabilityReport:
     """Verify a sum-stability statement at desk scale.
 
     mode "h2zero": both Z-modules must be trivial; equivalence of the
@@ -308,9 +274,6 @@ def sum_stability_check(d1: DecoratedModule, d2: DecoratedModule,
     the Z-groups torsion-free, and the Z-forms zero (pieces of surgered
     sphere-links have no intersection pairing); bounded equivalence of
     the sums must then imply bounded equivalence of the summands.
-
-    A violated implication is flagged as a bug: the statements
-    guarantee it.
     """
     if mode == "h2zero":
         for z in (z1, z2):
@@ -333,12 +296,5 @@ def sum_stability_check(d1: DecoratedModule, d2: DecoratedModule,
                 raise PreconditionError("Z-forms must be zero")
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
-    before = algebraically_equivalent(d1, d2, bound)
-    after = algebraically_equivalent(sum_model(d1, z1), sum_model(d2, z2),
-                                     bound)
-    if mode == "h2zero":
-        ok = before.equivalent == after.equivalent
-    else:
-        ok = before.equivalent or not after.equivalent
-    return SumStabilityReport(mode=mode, before=before, after=after,
-                              implication_ok=ok)
+    return stability_report(mode, mode == "h2zero", (d1, d2),
+                            (sum_model(d1, z1), sum_model(d2, z2)), bound)

@@ -31,6 +31,7 @@ from .intmat import (
     FgAbelianGroup,
     IntMatrix,
     block2x2,
+    block_diag,
     cokernel,
     determinant,
     kernel_basis,
@@ -340,13 +341,8 @@ def _block_sum(h1: Handlebody2, h2: Handlebody2, tag: str) -> Handlebody2:
     for th in h2.two_handles:
         handles.append(TwoHandle(word=_shift_word(th.word, h1.k),
                                  framing=th.framing, front=th.front))
-    rows = []
-    for i in range(h1.n):
-        rows.append(list(h1.linking.entries[i]) + [0] * h2.n)
-    for i in range(h2.n):
-        rows.append([0] * h1.n + list(h2.linking.entries[i]))
-    linking = IntMatrix.from_rows(rows, cols=h1.n + h2.n)
-    return handlebody(h1.k + h2.k, handles, linking,
+    return handlebody(h1.k + h2.k, handles,
+                      block_diag(h1.linking, h2.linking),
                       cert_tags=h1.cert_tags + h2.cert_tags + (tag,))
 
 

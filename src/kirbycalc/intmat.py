@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import DimensionError
 
@@ -24,14 +25,16 @@ class IntMatrix:
     """An immutable integer matrix stored as a tuple of row tuples.
 
     The column count is part of the value, so 0 x n matrices of
-    different widths are distinct.
+    different widths are distinct.  Entries must be integers (anything
+    operator.index accepts); floats and strings raise TypeError instead
+    of being truncated or parsed.
     """
 
     entries: tuple
     cols: int | None = None
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(map(index, row)) for row in self.entries)
         width = len(rows[0]) if rows else int(self.cols or 0)
         if any(len(r) != width for r in rows):
             raise DimensionError("ragged rows")
@@ -124,14 +127,23 @@ class IntMatrix:
 
 
 def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    ra, ca = a.shape()
-    rb, cb = b.shape()
-    rows = []
-    for i in range(ra):
-        rows.append(list(a.entries[i]) + [0] * cb)
-    for i in range(rb):
-        rows.append([0] * ca + list(b.entries[i]))
-    return IntMatrix.from_rows(rows, cols=ca + cb)
+    return block2x2(a, IntMatrix.zeros(a.rows, b.cols),
+                    IntMatrix.zeros(b.rows, a.cols), b)
+
+
+def with_relations(m: IntMatrix, orders) -> IntMatrix:
+    """[m | relations]: m's columns, then t * e_i for each row i of order t != 0.
+
+    orders gives one generator order per row of m (0 meaning infinite).
+    The column span of the result is the span of m's columns plus the
+    torsion relations, so its cokernel is the module modulo that span.
+    """
+    if len(orders) != m.rows:
+        raise DimensionError(f"{len(orders)} orders for {m.rows} rows")
+    tor = [i for i, t in enumerate(orders) if t != 0]
+    rows = [list(row) + [orders[i] if i == k else 0 for k in tor]
+            for i, row in enumerate(m.entries)]
+    return IntMatrix.from_rows(rows, cols=m.cols + len(tor))
 
 
 def block2x2(a: IntMatrix, b: IntMatrix, c: IntMatrix, d: IntMatrix) -> IntMatrix:
@@ -214,10 +226,7 @@ class FgAbelianGroup:
             raise ValueError("generator orders must be 0 or >= 2")
         if not tors:
             return cls(free, ())
-        diag = IntMatrix.from_rows(
-            [[tors[i] if i == j else 0 for j in range(len(tors))] for i in range(len(tors))]
-        )
-        inner = cokernel(diag)
+        inner = cokernel(with_relations(IntMatrix.zeros(len(tors), 0), tors))
         return cls(free + inner.free_rank, inner.torsion_divisors)
 
     def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":

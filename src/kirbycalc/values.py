@@ -36,16 +36,6 @@ class OrderedValue:
             return cls(_FIN, x)
         raise TypeError(f"cannot coerce {x!r} to an ordered value")
 
-    @property
-    def is_finite(self) -> bool:
-        return self._kind == _FIN
-
-    @property
-    def finite(self) -> int:
-        if self._kind != _FIN:
-            raise KirbyCalcError(f"{self} is not finite")
-        return self._n
-
     def _key(self):
         return (self._kind, self._n)
 
@@ -64,7 +54,8 @@ class OrderedValue:
         return self._key() < other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        # a finite value equals its int, so it must hash like it
+        return hash(self._n) if self._kind == _FIN else hash(self._key())
 
     def __add__(self, other):
         other = OrderedValue.of(other)

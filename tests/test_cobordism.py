@@ -109,6 +109,23 @@ def test_submodule_presentation_against_closure_oracle():
                 assert sub.membership(sub.vector_of(beta)) == beta
 
 
+def test_vector_of_inverts_membership_on_free_and_mixed_ambients():
+    rng = random.Random(29)
+    for orders in ((0,), (0, 0), (0, 0, 0), (0, 2), (0, 4), (0, 0, 2),
+                   (0, 2, 4)):
+        amb = decorated_module(orders)
+        for _ in range(12):
+            gens = [tuple(rng.randint(-4, 4) for _ in orders)
+                    for _ in range(rng.randint(1, 3))]
+            sub = submodule(amb, gens)
+            for _ in range(6):
+                key = tuple(rng.randrange(t) if t else rng.randint(-6, 6)
+                            for t in sub.orders)
+                vec = sub.vector_of(key)
+                assert vec == amb.key(vec)
+                assert sub.membership(vec) == key
+
+
 def test_direct_sum_decomposition_check():
     p = _free(2)
     s1 = submodule(p, [(1, 0)])

@@ -14,6 +14,7 @@ from kirbycalc.forms import (
     SEARCH_RANK_LIMIT,
     ModuleHom,
     algebraically_equivalent,
+    canonical_key,
     check_g_preservation,
     decorated_module,
     enumerate_isometries,
@@ -444,3 +445,15 @@ def test_equivalence_is_symmetric_on_closed_tables():
             fwd = algebraically_equivalent(d1, d2, bound)
             bwd = algebraically_equivalent(d2, d1, bound)
             assert fwd.equivalent == bwd.equivalent
+
+
+def test_coefficient_vectors_must_be_integral():
+    d = decorated_module((0, 2), IntMatrix(((1, 0), (0, 0))), {(1, 1): 2})
+    assert d.value((1, 3)) == 2
+    for bad in ((1.7, 1), (1, 1.0), ("1", 1)):
+        with pytest.raises(TypeError):
+            d.value(bad)
+        with pytest.raises(TypeError):
+            canonical_key((0, 2), bad)
+    with pytest.raises(TypeError):
+        decorated_module((0,), None, {(1.5,): 0})

@@ -13,6 +13,7 @@ from kirbycalc.intmat import (
     signature,
     smith_normal_form,
     solve_integer,
+    with_relations,
 )
 
 from .gens import rand_matrix, rand_unimodular
@@ -80,6 +81,25 @@ def test_empty_matrices_keep_their_width():
     assert hash(a) == hash(IntMatrix.zeros(0, 3))
     with pytest.raises(DimensionError):
         IntMatrix(((1, 2),), cols=3)
+
+
+def test_non_integral_entries_raise():
+    assert IntMatrix(((True, 2),)) == IntMatrix(((1, 2),))
+    for bad in (1.5, 1.0, "3", None):
+        with pytest.raises(TypeError):
+            IntMatrix(((bad,),))
+
+
+def test_with_relations_appends_torsion_columns():
+    m = IntMatrix(((1, 2), (3, 4), (5, 6)))
+    assert with_relations(m, (0, 4, 6)) == IntMatrix(
+        ((1, 2, 0, 0), (3, 4, 4, 0), (5, 6, 0, 6)))
+    assert with_relations(m, (0, 0, 0)) == m
+    assert with_relations(IntMatrix.zeros(0, 2), ()) == IntMatrix.zeros(0, 2)
+    rel = with_relations(IntMatrix.zeros(2, 0), (2, 3))
+    assert cokernel(rel) == FgAbelianGroup(0, (6,))
+    with pytest.raises(DimensionError):
+        with_relations(m, (0, 4))
 
 
 def test_snf_random_property():
