@@ -35,6 +35,7 @@ from .forms import (
 from .intmat import (
     FgAbelianGroup,
     IntMatrix,
+    SmithDecomposition,
     cokernel,
     kernel_basis,
     smith_normal_form,
@@ -71,6 +72,8 @@ class SubmodulePresentation:
     orders: tuple
     _u: IntMatrix = field(compare=False)
     _kept: tuple = field(compare=False)
+    # Smith decomposition of the [gens | relations] presentation
+    _pres: SmithDecomposition = field(compare=False)
 
     def abstract_group(self):
         return FgAbelianGroup.from_orders(self.orders)
@@ -97,7 +100,7 @@ class SubmodulePresentation:
 
     def membership(self, vec):
         """Abstract key of an ambient vector, or None when outside."""
-        sol = solve_integer(_presentation(self.ambient, self.gens), tuple(vec))
+        sol = self._pres.solve(vec)
         if sol is None:
             return None
         return self.coords(sol[: len(self.gens)])
@@ -107,11 +110,14 @@ def submodule(ambient: DecoratedModule, gens) -> SubmodulePresentation:
     """Present the submodule generated by the given ambient vectors."""
     gens = tuple(ambient.key(g) for g in gens)
     m = len(gens)
+    pres = smith_normal_form(_presentation(ambient, gens))
     if m == 0:
         return SubmodulePresentation(ambient=ambient, gens=(), orders=(),
-                                     _u=IntMatrix.identity(0), _kept=())
-    ker = kernel_basis(_presentation(ambient, gens))
-    relmat = ker.submatrix(range(m), range(ker.shape()[1]))
+                                     _u=IntMatrix.identity(0), _kept=(),
+                                     _pres=pres)
+    # the trailing columns of V are the kernel basis of the presentation;
+    # their first m coordinates span the relations among the generators
+    relmat = pres.v.submatrix(range(m), range(pres.rank, pres.v.cols))
     snf = smith_normal_form(relmat)
     diag = snf.diagonal()
     divisors = tuple(diag[i] if i < len(diag) else 0 for i in range(m))
@@ -120,7 +126,7 @@ def submodule(ambient: DecoratedModule, gens) -> SubmodulePresentation:
     # U relmat V = D, so the abstract coordinates of a coefficient vector
     # v are U v, reduced modulo the diagonal
     return SubmodulePresentation(ambient=ambient, gens=gens, orders=orders,
-                                 _u=snf.u, _kept=kept)
+                                 _u=snf.u, _kept=kept, _pres=pres)
 
 
 def hom_image(phi: ModuleHom) -> SubmodulePresentation:

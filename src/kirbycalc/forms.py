@@ -112,7 +112,7 @@ class DecoratedModule:
 
 def decorated_module(orders, form=None, gvalues=None) -> DecoratedModule:
     """Validating constructor for DecoratedModule."""
-    orders = tuple(int(t) for t in orders)
+    orders = tuple(map(index, orders))
     for t in orders:
         if t != 0 and t < 2:
             raise PreconditionError(f"generator order {t} must be 0 or >= 2")
@@ -217,11 +217,7 @@ def identity_hom(d: DecoratedModule) -> ModuleHom:
 
 
 def negation_hom(d: DecoratedModule) -> ModuleHom:
-    n = d.ngens
-    m = IntMatrix.from_rows(
-        [[-1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n
-    )
-    return module_hom(d, d, m)
+    return module_hom(d, d, IntMatrix.from_diagonal([-1] * d.ngens))
 
 
 def compose(g: ModuleHom, f: ModuleHom) -> ModuleHom:

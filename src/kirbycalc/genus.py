@@ -17,6 +17,7 @@ is represented by a sphere, so a nonzero residue forces positive genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import CapacityError, PreconditionError
 from .forms import (
@@ -61,7 +62,7 @@ def disk_bundle_table(entries) -> DiskBundleTable:
     """Validating constructor; checks coverage shape and monotonicity."""
     table = {}
     for (g, n), val in entries.items():
-        g, n = int(g), int(n)
+        g, n = index(g), index(n)
         if g < 0:
             raise PreconditionError("bundle genus must be non-negative")
         table[(g, n)] = OrderedValue.of(val)
@@ -175,7 +176,7 @@ def char_class_instance(form: IntMatrix, alpha) -> CharClassInstance:
     """
     if not form.is_symmetric():
         raise PreconditionError("form must be symmetric")
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(map(index, alpha))
     n = form.rows
     if len(alpha) != n:
         raise PreconditionError(f"alpha must have {n} coordinates")

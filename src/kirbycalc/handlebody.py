@@ -24,6 +24,7 @@ test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import index
 
 from .errors import PreconditionError
 from .forms import isometry_exists
@@ -53,7 +54,7 @@ class TwoHandle:
     front: FrontCounts | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(x) for x in self.word))
+        object.__setattr__(self, "word", tuple(map(index, self.word)))
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def handlebody(one_handles, two_handles=(), linking=None,
     on the diagonal, and every word letter must name an existing dotted
     handle.
     """
-    k = int(one_handles)
+    k = index(one_handles)
     if k < 0:
         raise PreconditionError("negative number of 1-handles")
     handles = []
@@ -100,11 +101,7 @@ def handlebody(one_handles, two_handles=(), linking=None,
                     f"2-handle {idx} runs over unknown 1-handle {letter}"
                 )
     if linking is None:
-        linking = IntMatrix.from_rows(
-            [[handles[i].framing if i == j else 0 for j in range(n)]
-             for i in range(n)],
-            cols=n,
-        )
+        linking = IntMatrix.from_diagonal(th.framing for th in handles)
     if linking.shape() != (n, n):
         raise PreconditionError(f"linking matrix must be {n}x{n}")
     if not linking.is_symmetric():
@@ -297,7 +294,7 @@ def attach_two_handles_zero_framed(h: Handlebody2, words, linking_rows=None,
     the full new rows of the extended linking matrix (one per new
     handle, length n + new, zero diagonal).
     """
-    words = [tuple(int(x) for x in w) for w in words]
+    words = [tuple(map(index, w)) for w in words]
     new = len(words)
     handles = list(h.two_handles) + [TwoHandle(word=w, framing=0) for w in words]
     if linking_rows is None:

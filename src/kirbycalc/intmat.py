@@ -1,20 +1,27 @@
 """Exact linear algebra over the integers.
 
 Everything downstream (homology of handlebodies, bilinear form algebra,
-cobordism bookkeeping) reduces to four primitives implemented here:
+cobordism bookkeeping) reduces to the primitives implemented here:
 Smith normal form with recorded unimodular transforms, saturated integer
-kernels, cokernels presented as finitely generated abelian groups, and
-exact determinants via fraction-free elimination.
+kernels, cokernels presented as finitely generated abelian groups,
+integer solutions of linear systems, and exact determinants and
+signatures via fraction-free (Bareiss) elimination.
 
-All entries are plain Python integers; they may grow without bound
-during elimination and nothing here ever truncates.  Matrices are
-immutable values, so every function is safe under concurrent use.
+One Smith elimination serves every Smith-based function, and each pays
+only for the transforms it reads: smith_normal_form carries U and V,
+kernel_basis only V, solve_integer V and the right-hand side (U is
+never built), and cokernel nothing.  The pivots depend on the matrix
+alone, so all four see the same diagonal and the same V.
+
+All entries are plain Python integers, never fractions; they may grow
+without bound during elimination and nothing here ever truncates.
+Matrices are immutable values, so every function is safe under
+concurrent use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
 from .errors import DimensionError
@@ -54,8 +61,16 @@ class IntMatrix:
         return cls(rows, None if rows else cols)
 
     @classmethod
+    def from_diagonal(cls, values) -> "IntMatrix":
+        """The square matrix with the given diagonal and zeros elsewhere."""
+        values = tuple(values)
+        n = len(values)
+        return cls(tuple(tuple(x if i == j else 0 for j in range(n))
+                         for i, x in enumerate(values)), n)
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls.from_diagonal((1,) * n)
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "IntMatrix":
@@ -178,6 +193,11 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)
 
+    def solve(self, b):
+        """One integer x with m x = b for the decomposed m, or None."""
+        return _back_substitute(self.diagonal(), self.u.apply(tuple(b)),
+                                self.v.transpose().entries)
+
 
 @dataclass(frozen=True)
 class FgAbelianGroup:
@@ -250,14 +270,15 @@ class FgAbelianGroup:
 
 def _swap_rows(a, u, i, j):
     a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
+    if u:
+        u[i], u[j] = u[j], u[i]
 
 
 def _swap_cols(a, v, i, j):
     for row in a:
         row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
+    if v:
+        v[i], v[j] = v[j], v[i]
 
 
 def _row_sub(a, u, i, j, q):
@@ -265,31 +286,40 @@ def _row_sub(a, u, i, j, q):
     ai, aj = a[i], a[j]
     for k in range(len(ai)):
         ai[k] -= q * aj[k]
-    ui, uj = u[i], u[j]
-    for k in range(len(ui)):
-        ui[k] -= q * uj[k]
+    if u:
+        ui, uj = u[i], u[j]
+        for k in range(len(ui)):
+            ui[k] -= q * uj[k]
 
 
 def _col_sub(a, v, i, j, q):
     # col_i -= q * col_j
     for row in a:
         row[i] -= q * row[j]
-    for row in v:
-        row[i] -= q * row[j]
+    if v:
+        vi, vj = v[i], v[j]
+        for k in range(len(vi)):
+            vi[k] -= q * vj[k]
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize m by unimodular row and column operations.
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
-    Returns U, D, V with U*m*V = D, |det U| = |det V| = 1, the diagonal
-    of D non-negative and each entry dividing the next.  The classical
-    pivot-improvement algorithm: entry growth is unbounded but exact.
+
+def _eliminate(a, u, v):
+    """Reduce a, a list of row lists, in place to its Smith form.
+
+    Every row operation on a is applied to u, which holds one list per
+    row of a, and every column operation to v, which holds one list per
+    column of a (the columns of the column transform).  Either may be
+    empty when the caller does not read that transform.  Pivots are
+    chosen from a alone, so a ends the same whatever is tracked.  The
+    classical pivot-improvement algorithm: entry growth is unbounded but
+    exact.  Returns the diagonal: non-negative, each entry dividing the
+    next.
     """
-    rows, cols = m.shape()
-    a = [list(r) for r in m.entries]
-    u = [list(r) for r in IntMatrix.identity(rows).entries]
-    v = [list(r) for r in IntMatrix.identity(cols).entries]
-
+    rows = len(a)
+    cols = len(a[0]) if a else 0
     t = 0
     while t < min(rows, cols):
         # locate the smallest nonzero entry of the trailing submatrix
@@ -348,28 +378,55 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             _row_sub(a, u, t, offender, -1)
         t += 1
 
-    # normalize diagonal signs into U
+    # normalize diagonal signs into the row transform
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
-            for k in range(cols):
-                a[i][k] = -a[i][k]
-            for k in range(rows):
-                u[i][k] = -u[i][k]
+            a[i] = [-x for x in a[i]]
+            if u:
+                u[i] = [-x for x in u[i]]
+    return tuple(a[i][i] for i in range(min(rows, cols)))
 
+
+def _back_substitute(diag, ub, v):
+    """V y for the integer y with D y = ub, or None when there is none.
+
+    D is the Smith matrix with the given diagonal, ub is U b and v
+    holds the columns of V, so the result solves m x = b when U m V = D.
+    """
+    x = [0] * len(v)
+    for i, c in enumerate(ub):
+        d = diag[i] if i < len(diag) else 0
+        if (c % d if d else c) != 0:
+            return None
+        if c:
+            x = [xk + c // d * vk for xk, vk in zip(x, v[i])]
+    return tuple(x)
+
+
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Diagonalize m by unimodular row and column operations.
+
+    Returns U, D, V with U*m*V = D, |det U| = |det V| = 1, the diagonal
+    of D non-negative and each entry dividing the next.
+    """
+    rows, cols = m.shape()
+    a = [list(r) for r in m.entries]
+    u = _identity_rows(rows)
+    v = _identity_rows(cols)
+    _eliminate(a, u, v)
     return SmithDecomposition(
         u=IntMatrix.from_rows(u, cols=rows),
         d=IntMatrix.from_rows(a, cols=cols),
-        v=IntMatrix.from_rows(v, cols=cols),
+        v=IntMatrix.from_rows(zip(*v), cols=cols),
     )
 
 
 def cokernel(m: IntMatrix) -> FgAbelianGroup:
     """The quotient of the row space Z^rows by the column images of m."""
-    snf = smith_normal_form(m)
-    diag = snf.diagonal()
+    diag = _eliminate([list(r) for r in m.entries], [], [])
     rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d > 1)
-    return FgAbelianGroup(free_rank=m.shape()[0] - rank, torsion_divisors=torsion)
+    return FgAbelianGroup(free_rank=m.rows - rank, torsion_divisors=torsion)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -380,10 +437,11 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     free from unimodularity of V).  Returned as a cols x (cols - rank)
     matrix whose columns are the basis vectors.
     """
-    rows, cols = m.shape()
-    snf = smith_normal_form(m)
-    rank = snf.rank
-    return snf.v.submatrix(range(cols), range(rank, cols))
+    n = m.cols
+    v = _identity_rows(n)
+    rank = sum(1 for d in _eliminate([list(r) for r in m.entries], [], v) if d != 0)
+    return IntMatrix.from_rows([[col[i] for col in v[rank:]] for i in range(n)],
+                               cols=n - rank)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -422,79 +480,56 @@ def signature(q: IntMatrix):
     """Signature data of a symmetric integer matrix.
 
     Returns (positives, negatives, zeros) of a rational congruent
-    diagonalization; the signature is positives - negatives.  Exact via
-    Fraction arithmetic.
+    diagonalization; the signature is positives - negatives.  Integer
+    symmetric Bareiss elimination: trailing entries are bordered minors,
+    so the rational pivot p / prev has the sign of p * prev.  The two
+    congruence moves (swap up a nonzero diagonal entry; else add row
+    and column j to row and column 0) act linearly on those minors, so
+    every division stays exact.  A zero trailing row counts as a zero.
     """
     if not q.is_symmetric():
         raise DimensionError("signature needs a symmetric matrix")
-    n = q.rows
-    a = [[Fraction(x) for x in row] for row in q.entries]
+    a = [list(row) for row in q.entries]
     pos = neg = zero = 0
-    k = 0
-    while k < n:
-        if a[k][k] == 0:
-            # try to bring a nonzero diagonal entry up
-            swapped = False
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    a[k], a[j] = a[j], a[k]
-                    for row in a:
-                        row[k], row[j] = row[j], row[k]
-                    swapped = True
-                    break
-            if not swapped:
-                # all remaining diagonal zero: use an off-diagonal entry
-                found = None
-                for j in range(k + 1, n):
-                    if a[k][j] != 0:
-                        found = j
-                        break
-                if found is None:
-                    zero += 1
-                    k += 1
-                    continue
-                for idx in range(n):
-                    a[k][idx] += a[found][idx]
+    prev = 1
+    # a is the trailing block; its row 0 takes the next pivot
+    while a:
+        if a[0][0] == 0:
+            j = next((j for j in range(1, len(a)) if a[j][j] != 0), None)
+            if j is not None:
+                a[0], a[j] = a[j], a[0]
                 for row in a:
-                    row[k] += row[found]
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / pivot
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-        # matching column clearing keeps the transform a congruence
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                f = a[k][j] / pivot
-                for i in range(n):
-                    a[i][j] -= f * a[i][k]
-        if pivot > 0:
+                    row[0], row[j] = row[j], row[0]
+            else:
+                j = next((j for j in range(1, len(a)) if a[0][j] != 0), None)
+                if j is None:
+                    zero += 1
+                    a = [row[1:] for row in a[1:]]
+                    continue
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += row[j]
+        p = a[0][0]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        k += 1
+        top = a[0]
+        a = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+             for row in a[1:]]
+        prev = p
     return (pos, neg, zero)
 
 
 def solve_integer(a: IntMatrix, b):
-    """One integer solution x of a x = b, or None when none exists."""
+    """One integer solution x of a x = b, or None when none exists.
+
+    The elimination carries b along with V, so U is never built.
+    """
     rows, cols = a.shape()
     if len(b) != rows:
         raise DimensionError("right-hand side length mismatch")
-    snf = smith_normal_form(a)
-    ub = snf.u.apply(tuple(b))
-    diag = snf.diagonal()
-    y = [0] * cols
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            q, r = divmod(ub[i], d)
-            if r != 0:
-                return None
-            if i < cols:
-                y[i] = q
-    return snf.v.apply(tuple(y))
+    ub = [[x] for x in b]
+    v = _identity_rows(cols)
+    diag = _eliminate([list(r) for r in a.entries], ub, v)
+    return _back_substitute(diag, [x for x, in ub], v)

@@ -8,6 +8,7 @@ floats are avoided so that all arithmetic stays exact.
 from __future__ import annotations
 
 import functools
+from operator import index
 
 from .errors import KirbyCalcError
 
@@ -24,7 +25,7 @@ class OrderedValue:
         if kind not in (_NEG, _FIN, _POS):
             raise ValueError(f"bad kind {kind!r}")
         self._kind = kind
-        self._n = int(n) if kind == _FIN else 0
+        self._n = index(n) if kind == _FIN else 0
 
     @classmethod
     def of(cls, x) -> "OrderedValue":

@@ -20,7 +20,7 @@ from kirbycalc.cobordism import (
 )
 from kirbycalc.errors import PreconditionError
 from kirbycalc.forms import compose, decorated_module, module_hom
-from kirbycalc.intmat import FgAbelianGroup, IntMatrix
+from kirbycalc.intmat import FgAbelianGroup, IntMatrix, solve_integer, with_relations
 from kirbycalc.values import NEG_INF, POS_INF, OrderedValue
 
 from .gens import box_keys, rand_decorated
@@ -124,6 +124,35 @@ def test_vector_of_inverts_membership_on_free_and_mixed_ambients():
                 vec = sub.vector_of(key)
                 assert vec == amb.key(vec)
                 assert sub.membership(vec) == key
+
+
+def test_membership_matches_solving_the_presentation_afresh():
+    # the reference factors [gens | relations] on every call
+    rng = random.Random(61)
+    hits = misses = 0
+    for orders in ((0,), (0, 0), (0, 0, 0), (2,), (0, 2), (0, 4), (4, 2),
+                   (0, 0, 4)):
+        amb = decorated_module(orders)
+        n = len(orders)
+        for _ in range(10):
+            gens = [tuple(rng.randint(-4, 4) for _ in orders)
+                    for _ in range(rng.randint(0, 3))]
+            sub = submodule(amb, gens)
+            pres = with_relations(IntMatrix.from_rows(
+                [[g[c] for g in sub.gens] for c in range(n)], cols=len(sub.gens)),
+                orders)
+            for _ in range(8):
+                vec = tuple(rng.randint(-5, 5) for _ in orders)
+                if rng.random() < 0.5:
+                    coeffs = [rng.randint(-3, 3) for _ in sub.gens]
+                    vec = tuple(sum(k * g[c] for k, g in zip(coeffs, sub.gens))
+                                for c in range(n))
+                sol = solve_integer(pres, vec)
+                want = None if sol is None else sub.coords(sol[:len(sub.gens)])
+                assert sub.membership(vec) == want
+                hits += want is not None
+                misses += want is None
+    assert hits > 100 and misses > 100
 
 
 def test_direct_sum_decomposition_check():

@@ -457,3 +457,9 @@ def test_coefficient_vectors_must_be_integral():
             canonical_key((0, 2), bad)
     with pytest.raises(TypeError):
         decorated_module((0,), None, {(1.5,): 0})
+
+
+def test_generator_orders_must_be_integral():
+    assert decorated_module((2,)).orders == (2,)
+    with pytest.raises(TypeError):
+        decorated_module((2.5,))

@@ -234,3 +234,16 @@ def test_sum_stability_small_suites():
         z = _zero_valued_z(1)
         rep = sum_stability_check(d1, d2, z, z, "nondegenerate", 2)
         assert rep.implication_ok
+
+
+def test_disk_bundle_keys_must_be_integral():
+    for bad in ((1.0, 0), (0, 1.5)):
+        with pytest.raises(TypeError):
+            disk_bundle_table({(0, 0): 0, bad: 1})
+
+
+def test_characteristic_class_must_be_integral():
+    form = IntMatrix(((1,),))
+    assert char_class_instance(form, (1,)).alpha == (1,)
+    with pytest.raises(TypeError):
+        char_class_instance(form, (1.0,))

@@ -267,3 +267,21 @@ def test_hihc_passes_after_w_move():
         h = rand_handlebody(rng, min_n=1)
         out = w_minus(h, rng.randrange(h.n), rng.randint(1, 3))
         assert hihc_certificate(h, out).passed
+
+
+def test_two_handle_word_must_be_integral():
+    assert handlebody(1, [((1,), 0)]).two_handles[0].word == (1,)
+    with pytest.raises(TypeError):
+        handlebody(1, [((1.9,), 0)])
+
+
+def test_one_handle_count_must_be_integral():
+    with pytest.raises(TypeError):
+        handlebody(1.0)
+
+
+def test_attached_words_must_be_integral():
+    h = handlebody(1)
+    assert attach_two_handles_zero_framed(h, [(1,)]).two_handles[0].word == (1,)
+    with pytest.raises(TypeError):
+        attach_two_handles_zero_framed(h, [(1.0,)])

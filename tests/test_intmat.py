@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from kirbycalc.intmat import (
     with_relations,
 )
 
-from .gens import rand_matrix, rand_unimodular
+from .gens import rand_matrix, rand_symmetric, rand_unimodular
 
 
 def cofactor_det(m):
@@ -175,6 +176,146 @@ def test_signature():
     assert signature(IntMatrix(((0, 1), (1, 0)))) == (1, 1, 0)
     assert signature(IntMatrix(((2, 0, 0), (0, 0, 0), (0, 0, -3)))) == (1, 1, 1)
     assert signature(IntMatrix.zeros(0, 0)) == (0, 0, 0)
+
+
+def fraction_signature(q):
+    """Reference: congruence diagonalization in Fraction arithmetic."""
+    n = q.rows
+    a = [[Fraction(x) for x in row] for row in q.entries]
+    pos = neg = zero = 0
+    k = 0
+    while k < n:
+        if a[k][k] == 0:
+            # try to bring a nonzero diagonal entry up
+            swapped = False
+            for j in range(k + 1, n):
+                if a[j][j] != 0:
+                    a[k], a[j] = a[j], a[k]
+                    for row in a:
+                        row[k], row[j] = row[j], row[k]
+                    swapped = True
+                    break
+            if not swapped:
+                # all remaining diagonal zero: use an off-diagonal entry
+                found = None
+                for j in range(k + 1, n):
+                    if a[k][j] != 0:
+                        found = j
+                        break
+                if found is None:
+                    zero += 1
+                    k += 1
+                    continue
+                for idx in range(n):
+                    a[k][idx] += a[found][idx]
+                for row in a:
+                    row[k] += row[found]
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / pivot
+                for j in range(n):
+                    a[i][j] -= f * a[k][j]
+        for j in range(k + 1, n):
+            if a[k][j] != 0:
+                f = a[k][j] / pivot
+                for i in range(n):
+                    a[i][j] -= f * a[i][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        k += 1
+    return (pos, neg, zero)
+
+
+def degenerate_symmetric(rng, n):
+    """Symmetric n x n matrices of the shapes that need the congruence moves."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        # zero diagonal, sparse off-diagonal entries
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        return IntMatrix.from_rows(rows, cols=n)
+    if kind == 1:
+        # P^T D P with zeros on D: rank-deficient, entries far from diagonal
+        p = rand_matrix(rng, max_entry=3, rows=n, cols=n)
+        d = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
+        return IntMatrix.from_rows(
+            [[sum(p[k, i] * d[k] * p[k, j] for k in range(n)) for j in range(n)]
+             for i in range(n)], cols=n)
+    q = [list(row) for row in rand_symmetric(rng, n, max_entry=2).entries]
+    if kind == 2 and n:
+        # one or two zero rows and columns
+        for z in rng.sample(range(n), min(n, rng.randint(1, 2))):
+            for k in range(n):
+                q[z][k] = q[k][z] = 0
+    return IntMatrix.from_rows(q, cols=n)
+
+
+def test_signature_matches_fraction_reference_on_degenerate_forms():
+    rng = random.Random(47)
+    seen_zero = 0
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        q = degenerate_symmetric(rng, n)
+        got = signature(q)
+        assert got == fraction_signature(q), q
+        assert got[2] == n - smith_normal_form(q).rank
+        seen_zero += got[2] > 0
+    assert seen_zero > 100
+
+
+def test_cokernel_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(71)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 0), (0, 1)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(150)]
+    for r, c in shapes:
+        density = rng.choice((0.2, 0.5, 1.0))
+        rows = [[rng.randint(-9, 9) if rng.random() < density else 0
+                 for _ in range(c)] for _ in range(r)]
+        m = IntMatrix.from_rows(rows, cols=c)
+        factors = [abs(int(x)) for x in
+                   invariant_factors(sympy.Matrix(r, c, sum(rows, [])),
+                                     domain=sympy.ZZ)]
+        rank = sum(1 for x in factors if x != 0)
+        want = FgAbelianGroup(r - rank, tuple(sorted(x for x in factors if x > 1)))
+        assert cokernel(m) == want, rows
+
+
+def test_kernel_and_solve_read_the_full_decomposition():
+    rng = random.Random(19)
+    for _ in range(150):
+        m = rand_matrix(rng, max_dim=7, max_entry=rng.choice((1, 4, 9)))
+        r, c = m.shape()
+        s = smith_normal_form(m)
+        assert kernel_basis(m) == s.v.submatrix(range(c), range(s.rank, c))
+        diag = s.diagonal()
+        for _ in range(3):
+            if rng.random() < 0.5:
+                b = m.apply(tuple(rng.randint(-3, 3) for _ in range(c)))
+            else:
+                b = tuple(rng.randint(-5, 5) for _ in range(r))
+            ub = s.u.apply(b)
+            y = [0] * c
+            want = "unset"
+            for i in range(r):
+                d = diag[i] if i < len(diag) else 0
+                if (d == 0 and ub[i] != 0) or (d != 0 and ub[i] % d != 0):
+                    want = None
+                    break
+                if d:
+                    y[i] = ub[i] // d
+            if want == "unset":
+                want = s.v.apply(tuple(y))
+            assert solve_integer(m, b) == want
+            assert s.solve(b) == want
 
 
 def test_group_canonical_form():

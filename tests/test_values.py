@@ -1,3 +1,5 @@
+import pytest
+
 from kirbycalc.values import NEG_INF, POS_INF, OrderedValue
 
 
@@ -9,3 +11,9 @@ def test_finite_values_hash_like_their_int():
         assert n in {v} and v in {n}
     assert len({OrderedValue.of(3), 3}) == 1
     assert len({NEG_INF, POS_INF, OrderedValue.of(0), 0}) == 3
+
+
+def test_finite_value_must_be_integral():
+    assert str(OrderedValue(0, 2)) == "2"
+    with pytest.raises(TypeError):
+        OrderedValue(0, 2.7)
