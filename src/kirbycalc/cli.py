@@ -44,16 +44,22 @@ from .values import OrderedValue
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        path, data = "stdin", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        return data.decode("ascii")
     except UnicodeDecodeError:
         raise KirbyCalcError(f"{path} is not ASCII text") from None
 
 
 def _load_handlebody(path: str):
     return parse_handlebody(_read_text(path))
+
+
+def _load_module(path: str):
+    return parse_module(_read_text(path))
 
 
 def _emit(pairs, summary: str) -> None:
@@ -156,8 +162,8 @@ def cmd_hihc(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    d1 = parse_module(_read_text(args.table1))
-    d2 = parse_module(_read_text(args.table2))
+    d1 = _load_module(args.table1)
+    d2 = _load_module(args.table2)
     result = algebraically_equivalent(d1, d2, args.bound)
     pairs = [("verdict", result.verdict), ("bound", args.bound)]
     if result.witness is not None:
@@ -188,7 +194,7 @@ def cmd_ag(args) -> int:
 
 
 def cmd_kmbound(args) -> int:
-    d = parse_module(_read_text(args.formfile))
+    d = _load_module(args.formfile)
     try:
         alpha = tuple(int(tok) for tok in args.alpha.split(","))
     except ValueError:
@@ -221,19 +227,19 @@ def _emit_stability(report) -> int:
 
 
 def cmd_stability_sum(args) -> int:
-    d1 = parse_module(_read_text(args.x1))
-    d2 = parse_module(_read_text(args.x2))
-    z1 = parse_module(_read_text(args.z1))
-    z2 = parse_module(_read_text(args.z2))
+    d1 = _load_module(args.x1)
+    d2 = _load_module(args.x2)
+    z1 = _load_module(args.z1)
+    z2 = _load_module(args.z2)
     return _emit_stability(
         sum_stability_check(d1, d2, z1, z2, args.mode, args.bound))
 
 
 def cmd_stability_quasi(args) -> int:
-    x1 = parse_module(_read_text(args.x1))
-    x2 = parse_module(_read_text(args.x2))
-    k1 = parse_module(_read_text(args.k1))
-    k2 = parse_module(_read_text(args.k2))
+    x1 = _load_module(args.x1)
+    x2 = _load_module(args.x2)
+    k1 = _load_module(args.k1)
+    k2 = _load_module(args.k2)
     models = []
     for x, k in ((x1, k1), (x2, k2)):
         cob = trivial_ends_model(k)
@@ -349,10 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KirbyCalcError as exc:
-        print(f"kirbycalc: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KirbyCalcError, OSError) as exc:
         print(f"kirbycalc: error: {exc}", file=sys.stderr)
         return 2
 

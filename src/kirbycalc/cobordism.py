@@ -111,10 +111,6 @@ def submodule(ambient: DecoratedModule, gens) -> SubmodulePresentation:
     gens = tuple(ambient.key(g) for g in gens)
     m = len(gens)
     pres = smith_normal_form(_presentation(ambient, gens))
-    if m == 0:
-        return SubmodulePresentation(ambient=ambient, gens=(), orders=(),
-                                     _u=IntMatrix.identity(0), _kept=(),
-                                     _pres=pres)
     # the trailing columns of V are the kernel basis of the presentation;
     # their first m coordinates span the relations among the generators
     relmat = pres.v.submatrix(range(m), range(pres.rank, pres.v.cols))

@@ -125,7 +125,7 @@ def a_g(r, n: int, t: DiskBundleTable) -> AgValue:
     """
     if not t.covers(n):
         raise PreconditionError(f"Euler number {n} outside table coverage")
-    r = OrderedValue.of(r) if not isinstance(r, OrderedValue) else r
+    r = OrderedValue.of(r)
     vals = [t.value(g, n) for g in range(t.g_max + 1)]
     if r < vals[0]:
         return AgValue(OrderedValue.of(0))

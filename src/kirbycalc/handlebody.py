@@ -129,7 +129,7 @@ def run_over_matrix(h: Handlebody2) -> IntMatrix:
             [sum(1 if x == g else -1 if x == -g else 0 for x in th.word)
              for th in h.two_handles]
         )
-    return IntMatrix.from_rows(rows, cols=h.n) if rows else IntMatrix.zeros(0, h.n)
+    return IntMatrix.from_rows(rows, cols=h.n)
 
 
 def boundary_block_matrix(h: Handlebody2) -> IntMatrix:

@@ -56,9 +56,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows, cols=None) -> "IntMatrix":
-        rows = list(rows)
-        # cols only fixes the width of a matrix without rows
-        return cls(rows, None if rows else cols)
+        return cls(rows, cols)
 
     @classmethod
     def from_diagonal(cls, values) -> "IntMatrix":
@@ -195,7 +193,8 @@ class SmithDecomposition:
 
     def solve(self, b):
         """One integer x with m x = b for the decomposed m, or None."""
-        return _back_substitute(self.diagonal(), self.u.apply(tuple(b)),
+        return _back_substitute(self.diagonal(),
+                                self.u.apply(tuple(map(index, b))),
                                 self.v.transpose().entries)
 
 
@@ -211,7 +210,9 @@ class FgAbelianGroup:
     torsion_divisors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion_divisors", tuple(int(d) for d in self.torsion_divisors))
+        object.__setattr__(self, "free_rank", index(self.free_rank))
+        object.__setattr__(self, "torsion_divisors",
+                           tuple(map(index, self.torsion_divisors)))
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         ds = self.torsion_divisors
@@ -529,7 +530,7 @@ def solve_integer(a: IntMatrix, b):
     rows, cols = a.shape()
     if len(b) != rows:
         raise DimensionError("right-hand side length mismatch")
-    ub = [[x] for x in b]
+    ub = [[index(x)] for x in b]
     v = _identity_rows(cols)
     diag = _eliminate([list(r) for r in a.entries], ub, v)
     return _back_substitute(diag, [x for x, in ub], v)

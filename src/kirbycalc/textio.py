@@ -8,6 +8,7 @@ parse-then-render is byte-stable.  Parse errors carry line and column.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 
 from .errors import FormatError, KirbyCalcError
 from .forms import DecoratedModule, decorated_module
@@ -20,22 +21,94 @@ from .values import OrderedValue
 HANDLEBODY_HEADER = "handlebody v1"
 MODULE_HEADER = "module v1"
 
-
-def _tokens(line):
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+_TOKEN = re.compile(r"\S+")
 
 
-def _int(text, lineno, col, what="integer"):
+class _Record:
+    """One non-blank line: its number, its kind (first token) and its
+    tokens with their 1-based columns.  The readers raise FormatError at
+    this line and the column of the token they read."""
+
+    __slots__ = ("lineno", "toks", "kind", "col")
+
+    def __init__(self, lineno, line):
+        self.lineno = lineno
+        self.toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
+        self.kind, self.col = self.toks[0]
+
+    def error(self, message, k=None):
+        """FormatError at token k, or at the line's first token."""
+        return FormatError(message, self.lineno,
+                           self.col if k is None else self.toks[k][1])
+
+    def field(self, k, name):
+        """The text after `name=` in token k."""
+        tok = self.toks[k][0]
+        if not tok.startswith(name + "="):
+            raise self.error(f"expected {name}=<value>, got {tok!r}", k)
+        return tok[len(name) + 1:]
+
+    def integer(self, k, what="integer", name=None):
+        """Token k, or the text after its `name=`, as an integer."""
+        text = self.toks[k][0] if name is None else self.field(k, name)
+        try:
+            return int(text)
+        except ValueError:
+            raise self.error(f"expected {what}, got {text!r}", k) from None
+
+    def value(self, k):
+        """The OrderedValue after `value=` in token k."""
+        text = self.field(k, "value")
+        try:
+            return OrderedValue.parse(text)
+        except ValueError as exc:
+            raise self.error(str(exc), k) from None
+
+
+def _records(text, header=None):
+    """A record per non-blank line of text, and the number of lines.
+    With a header, line 1 must read it (blanks around allowed)."""
+    lines = text.splitlines()
+    if header is not None and (not lines or lines[0].strip() != header):
+        raise FormatError(f"missing header {header!r}", 1, 1)
+    skip = header is not None
+    return ([_Record(lineno, line)
+             for lineno, line in enumerate(lines[skip:], start=1 + skip)
+             if line.strip()],
+            len(lines))
+
+
+@contextmanager
+def _errors_at(line=1, column=1):
+    """Report a KirbyCalcError raised inside as a FormatError at line, column."""
     try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"expected {what}, got {text!r}", lineno, col) from None
+        yield
+    except KirbyCalcError as exc:
+        raise FormatError(str(exc), line, column) from None
 
 
-def _field(token, name, lineno, col):
-    if not token.startswith(name + "="):
-        raise FormatError(f"expected {name}=<value>, got {token!r}", lineno, col)
-    return token[len(name) + 1:]
+def _symmetric_entry(rec, entries, id_what, value_what, conflict):
+    """Read `kind i j value` into entries[(min, max)] = (value, line).
+
+    i j and j i name the same entry; a second line for it must agree.
+    """
+    if len(rec.toks) != 4:
+        raise rec.error(f"{rec.kind} takes ids i j and a value")
+    i = rec.integer(1, id_what)
+    j = rec.integer(2, id_what)
+    v = rec.integer(3, value_what)
+    key = (min(i, j), max(i, j))
+    if key in entries and entries[key][0] != v:
+        raise rec.error(f"conflicting {conflict} {key}")
+    entries[key] = (v, rec.lineno)
+
+
+def _triangle(kind, m, start):
+    """A `kind i j v` line (1-based ids) for each nonzero v = m[i, j]
+    with j >= i + start."""
+    return [f"{kind} {i + 1} {j + 1} {row[j]}"
+            for i, row in enumerate(m.entries)
+            for j in range(i + start, len(row)) if row[j] != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +120,7 @@ def render_handlebody(h: Handlebody2) -> str:
     for idx, th in enumerate(h.two_handles):
         word = " ".join(str(x) for x in th.word)
         lines.append(f"two_handle {idx + 1} word={word} framing={th.framing}")
-    for i in range(h.n):
-        for j in range(i + 1, h.n):
-            v = h.linking[i, j]
-            if v != 0:
-                lines.append(f"linking {i + 1} {j + 1} {v}")
+    lines += _triangle("linking", h.linking, 1)
     for idx, th in enumerate(h.two_handles):
         if th.front is not None:
             f = th.front
@@ -63,119 +132,82 @@ def render_handlebody(h: Handlebody2) -> str:
 
 
 def parse_handlebody(text: str) -> Handlebody2:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != HANDLEBODY_HEADER:
-        raise FormatError(f"missing header {HANDLEBODY_HEADER!r}", 1, 1)
+    records, nlines = _records(text, HANDLEBODY_HEADER)
     one_handles = None
-    raw_handles = {}   # id -> (word, framing, lineno)
+    raw_handles = {}   # id -> (word, framing)
     raw_links = {}     # (i, j) normalized -> (value, lineno)
     raw_fronts = {}    # id -> FrontCounts
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        toks = _tokens(line)
-        kind, col0 = toks[0]
-        if kind == "one_handles":
+    for rec in records:
+        toks = rec.toks
+        if rec.kind == "one_handles":
             if len(toks) != 2:
-                raise FormatError("one_handles takes one count", lineno, col0)
+                raise rec.error("one_handles takes one count")
             if one_handles is not None:
-                raise FormatError("duplicate one_handles line", lineno, col0)
-            one_handles = _int(toks[1][0], lineno, toks[1][1], "count")
+                raise rec.error("duplicate one_handles line")
+            one_handles = rec.integer(1, "count")
             if one_handles < 0:
-                raise FormatError("one_handles must be non-negative",
-                                  lineno, toks[1][1])
-        elif kind == "two_handle":
+                raise rec.error("one_handles must be non-negative", 1)
+        elif rec.kind == "two_handle":
             if len(toks) < 4:
-                raise FormatError("malformed two_handle line", lineno, col0)
-            hid = _int(toks[1][0], lineno, toks[1][1], "2-handle id")
+                raise rec.error("malformed two_handle line")
+            hid = rec.integer(1, "2-handle id")
             if hid in raw_handles:
-                raise FormatError(f"duplicate 2-handle id {hid}", lineno,
-                                  toks[1][1])
-            first = _field(toks[2][0], "word", lineno, toks[2][1])
+                raise rec.error(f"duplicate 2-handle id {hid}", 1)
             word = []
-            if first:
-                word.append(_int(first, lineno, toks[2][1], "word letter"))
+            if rec.field(2, "word"):
+                word.append(rec.integer(2, "word letter", "word"))
             i = 3
             while i < len(toks) and not toks[i][0].startswith("framing="):
-                word.append(_int(toks[i][0], lineno, toks[i][1], "word letter"))
+                word.append(rec.integer(i, "word letter"))
                 i += 1
-            if i >= len(toks):
-                raise FormatError("missing framing=<int>", lineno, col0)
-            framing = _int(_field(toks[i][0], "framing", lineno, toks[i][1]),
-                           lineno, toks[i][1])
+            if i == len(toks):
+                raise rec.error("missing framing=<int>")
+            framing = rec.integer(i, name="framing")
             if i + 1 != len(toks):
-                raise FormatError("trailing tokens after framing", lineno,
-                                  toks[i + 1][1])
-            raw_handles[hid] = (tuple(word), framing, lineno)
-        elif kind == "linking":
-            if len(toks) != 4:
-                raise FormatError("linking takes ids i j and a value",
-                                  lineno, col0)
-            i = _int(toks[1][0], lineno, toks[1][1], "2-handle id")
-            j = _int(toks[2][0], lineno, toks[2][1], "2-handle id")
-            v = _int(toks[3][0], lineno, toks[3][1], "linking number")
-            key = (min(i, j), max(i, j))
-            if key in raw_links and raw_links[key][0] != v:
-                raise FormatError(
-                    f"conflicting linking values for pair {key}", lineno, col0
-                )
-            raw_links[key] = (v, lineno)
-        elif kind == "front":
+                raise rec.error("trailing tokens after framing", i + 1)
+            raw_handles[hid] = (tuple(word), framing)
+        elif rec.kind == "linking":
+            _symmetric_entry(rec, raw_links, "2-handle id", "linking number",
+                             "linking values for pair")
+        elif rec.kind == "front":
             if len(toks) != 6:
-                raise FormatError("malformed front line", lineno, col0)
-            hid = _int(toks[1][0], lineno, toks[1][1], "2-handle id")
+                raise rec.error("malformed front line")
+            hid = rec.integer(1, "2-handle id")
             if hid in raw_fronts:
-                raise FormatError(f"duplicate front for 2-handle {hid}",
-                                  lineno, toks[1][1])
-            vals = {}
-            for name, (tok, col) in zip(("writhe", "right", "up", "down"),
-                                        toks[2:6]):
-                vals[name] = _int(_field(tok, name, lineno, col), lineno, col)
-            try:
-                raw_fronts[hid] = FrontCounts(
-                    writhe=vals["writhe"], right_cusps=vals["right"],
-                    up_cusps=vals["up"], down_cusps=vals["down"]
-                )
-            except KirbyCalcError as exc:
-                raise FormatError(str(exc), lineno, col0) from None
+                raise rec.error(f"duplicate front for 2-handle {hid}", 1)
+            counts = [rec.integer(k, name=name) for k, name
+                      in enumerate(("writhe", "right", "up", "down"), start=2)]
+            with _errors_at(rec.lineno, rec.col):
+                raw_fronts[hid] = FrontCounts(*counts)
         else:
-            raise FormatError(f"unknown line kind {kind!r}", lineno, col0)
+            raise rec.error(f"unknown line kind {rec.kind!r}")
     if one_handles is None:
-        raise FormatError("missing one_handles line", len(lines), 1)
+        raise FormatError("missing one_handles line", nlines, 1)
 
-    ids = sorted(raw_handles)
-    index_of = {hid: i for i, hid in enumerate(ids)}
-    n = len(ids)
-    handles = []
-    for hid in ids:
-        word, framing, lineno = raw_handles[hid]
-        front = raw_fronts.pop(hid, None)
-        handles.append(TwoHandle(word=word, framing=framing, front=front))
+    index_of = {hid: i for i, hid in enumerate(sorted(raw_handles))}
+    handles = [TwoHandle(*raw_handles[hid], front=raw_fronts.pop(hid, None))
+               for hid in index_of]
     if raw_fronts:
-        hid = sorted(raw_fronts)[0]
-        raise FormatError(f"front for unknown 2-handle {hid}", len(lines), 1)
-    linking = [[handles[i].framing if i == j else 0 for j in range(n)]
-               for i in range(n)]
+        raise FormatError(f"front for unknown 2-handle {min(raw_fronts)}",
+                          nlines, 1)
+    n = len(handles)
+    linking = [[th.framing if i == j else 0 for j in range(n)]
+               for i, th in enumerate(handles)]
     for (i, j), (v, lineno) in raw_links.items():
         for hid in (i, j):
             if hid not in index_of:
                 raise FormatError(f"linking names unknown 2-handle {hid}",
                                   lineno, 1)
         a, b = index_of[i], index_of[j]
-        if a == b:
-            if v != handles[a].framing:
-                raise FormatError(
-                    f"diagonal linking {v} conflicts with framing "
-                    f"{handles[a].framing}", lineno, 1
-                )
-            continue
-        linking[a][b] = v
-        linking[b][a] = v
-    try:
+        if a == b and v != handles[a].framing:
+            raise FormatError(
+                f"diagonal linking {v} conflicts with framing "
+                f"{handles[a].framing}", lineno, 1
+            )
+        linking[a][b] = linking[b][a] = v
+    with _errors_at():
         return handlebody(one_handles, handles,
                           IntMatrix.from_rows(linking, cols=n))
-    except KirbyCalcError as exc:
-        raise FormatError(str(exc), 1, 1) from None
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +223,17 @@ def render_table(t: DiskBundleTable) -> str:
 
 def parse_table(text: str) -> DiskBundleTable:
     entries = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        toks = _tokens(line)
-        kind, col0 = toks[0]
-        if kind != "entry" or len(toks) != 4:
-            raise FormatError("expected: entry g=<int> n=<int> value=<v>",
-                              lineno, col0)
-        g = _int(_field(toks[1][0], "g", lineno, toks[1][1]), lineno,
-                 toks[1][1])
-        n = _int(_field(toks[2][0], "n", lineno, toks[2][1]), lineno,
-                 toks[2][1])
-        raw = _field(toks[3][0], "value", lineno, toks[3][1])
-        try:
-            val = OrderedValue.parse(raw)
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno, toks[3][1]) from None
+    for rec in _records(text)[0]:
+        if rec.kind != "entry" or len(rec.toks) != 4:
+            raise rec.error("expected: entry g=<int> n=<int> value=<v>")
+        g = rec.integer(1, name="g")
+        n = rec.integer(2, name="n")
+        val = rec.value(3)
         if (g, n) in entries:
-            raise FormatError(f"duplicate entry for g={g} n={n}", lineno, col0)
+            raise rec.error(f"duplicate entry for g={g} n={n}")
         entries[(g, n)] = val
-    try:
+    with _errors_at():
         return disk_bundle_table(entries)
-    except KirbyCalcError as exc:
-        raise FormatError(str(exc), 1, 1) from None
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +244,7 @@ def render_module(d: DecoratedModule) -> str:
     lines = [MODULE_HEADER]
     for i, t in enumerate(d.orders):
         lines.append(f"generator {i + 1} order={t}")
-    n = d.ngens
-    for i in range(n):
-        for j in range(i, n):
-            v = d.form[i, j]
-            if v != 0:
-                lines.append(f"form {i + 1} {j + 1} {v}")
+    lines += _triangle("form", d.form, 0)
     for key in sorted(d.gvalues):
         parts = ["genus"] + [str(c) for c in key] + [f"value={d.gvalues[key]}"]
         lines.append(" ".join(parts))
@@ -238,76 +252,50 @@ def render_module(d: DecoratedModule) -> str:
 
 
 def parse_module(text: str) -> DecoratedModule:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != MODULE_HEADER:
-        raise FormatError(f"missing header {MODULE_HEADER!r}", 1, 1)
+    records, _ = _records(text, MODULE_HEADER)
     orders = {}
-    form_entries = {}
-    gvalues = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        toks = _tokens(line)
-        kind, col0 = toks[0]
-        if kind == "generator":
+    form_entries = {}  # (i, j) normalized -> (value, lineno)
+    gvalues = []       # (coefficients, value, record)
+    for rec in records:
+        toks = rec.toks
+        if rec.kind == "generator":
             if len(toks) != 3:
-                raise FormatError("generator takes an id and order=<int>",
-                                  lineno, col0)
-            gid = _int(toks[1][0], lineno, toks[1][1], "generator id")
+                raise rec.error("generator takes an id and order=<int>")
+            gid = rec.integer(1, "generator id")
             if gid in orders:
-                raise FormatError(f"duplicate generator {gid}", lineno,
-                                  toks[1][1])
-            orders[gid] = _int(_field(toks[2][0], "order", lineno, toks[2][1]),
-                               lineno, toks[2][1])
-        elif kind == "form":
-            if len(toks) != 4:
-                raise FormatError("form takes ids i j and a value", lineno,
-                                  col0)
-            i = _int(toks[1][0], lineno, toks[1][1], "generator id")
-            j = _int(toks[2][0], lineno, toks[2][1], "generator id")
-            v = _int(toks[3][0], lineno, toks[3][1], "form value")
-            key = (min(i, j), max(i, j))
-            if key in form_entries and form_entries[key] != v:
-                raise FormatError(f"conflicting form values for {key}",
-                                  lineno, col0)
-            form_entries[key] = v
-        elif kind == "genus":
+                raise rec.error(f"duplicate generator {gid}", 1)
+            orders[gid] = rec.integer(2, name="order")
+        elif rec.kind == "form":
+            _symmetric_entry(rec, form_entries, "generator id", "form value",
+                             "form values for")
+        elif rec.kind == "genus":
             if len(toks) < 2 or not toks[-1][0].startswith("value="):
-                raise FormatError(
-                    "expected: genus <coefficients> value=<v>", lineno, col0
-                )
-            coeffs = tuple(
-                _int(tok, lineno, col, "coefficient")
-                for tok, col in toks[1:-1]
-            )
-            raw = _field(toks[-1][0], "value", lineno, toks[-1][1])
-            try:
-                val = OrderedValue.parse(raw)
-            except ValueError as exc:
-                raise FormatError(str(exc), lineno, toks[-1][1]) from None
-            gvalues.append((coeffs, val, lineno))
+                raise rec.error("expected: genus <coefficients> value=<v>")
+            coeffs = tuple(rec.integer(k, "coefficient")
+                           for k in range(1, len(toks) - 1))
+            gvalues.append((coeffs, rec.value(len(toks) - 1), rec))
         else:
-            raise FormatError(f"unknown line kind {kind!r}", lineno, col0)
+            raise rec.error(f"unknown line kind {rec.kind!r}")
     ids = sorted(orders)
     if ids != list(range(1, len(ids) + 1)):
         raise FormatError("generator ids must be 1..n", 1, 1)
     n = len(ids)
     form = [[0] * n for _ in range(n)]
-    for (i, j), v in form_entries.items():
+    for (i, j), (v, lineno) in form_entries.items():
         if not (1 <= i <= n and 1 <= j <= n):
-            raise FormatError(f"form names unknown generator in {(i, j)}", 1, 1)
-        form[i - 1][j - 1] = v
-        form[j - 1][i - 1] = v
+            raise FormatError(f"form names unknown generator in {(i, j)}",
+                              lineno, 1)
+        form[i - 1][j - 1] = form[j - 1][i - 1] = v
     table = {}
-    for coeffs, val, lineno in gvalues:
+    for coeffs, val, rec in gvalues:
         if len(coeffs) != n:
             raise FormatError(
                 f"genus line needs {n} coefficients, got {len(coeffs)}",
-                lineno, 1
+                rec.lineno, 1
             )
+        if table.get(coeffs, val) != val:
+            raise rec.error(f"conflicting genus values for {coeffs}")
         table[coeffs] = val
-    try:
+    with _errors_at():
         return decorated_module(tuple(orders[i] for i in ids),
                                 IntMatrix.from_rows(form, cols=n), table)
-    except KirbyCalcError as exc:
-        raise FormatError(str(exc), 1, 1) from None

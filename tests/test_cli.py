@@ -1,4 +1,6 @@
+import io
 import random
+import sys
 
 import pytest
 
@@ -179,3 +181,28 @@ def test_exit_code_matrix(files, capsys):
     for argv, expected in cases:
         code, _, _ = run(capsys, *argv)
         assert code == expected, f"{argv} -> {code}, wanted {expected}"
+
+
+def _stdin(monkeypatch, data):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+def test_stdin_reads_like_a_file(files, capsys, monkeypatch):
+    _stdin(monkeypatch, S2XD2_TEXT.encode("ascii"))
+    assert run(capsys, "homology", "-") == \
+        run(capsys, "homology", files("s.hb", S2XD2_TEXT))
+
+
+def test_stdin_follows_the_ascii_rule_of_files(tmp_path, capsys, monkeypatch):
+    # U+0661 ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    for data in (S2XD2_TEXT.replace("framing=0", "framing=\u0661").encode(),
+                 S2XD2_TEXT.encode("ascii") + b"\xff\n"):
+        path = tmp_path / "non_ascii.hb"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "homology", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"kirbycalc: error: {path} is not ASCII text\n"
+        _stdin(monkeypatch, data)
+        code, out, err = run(capsys, "homology", "-")
+        assert (code, out) == (2, "")
+        assert err == "kirbycalc: error: stdin is not ASCII text\n"

@@ -335,3 +335,34 @@ def test_solve_integer():
     assert solve_integer(a, (1, 0)) is None
     sol = solve_integer(IntMatrix(((1, 1),)), (5,))
     assert sum(sol) == 5
+
+
+def test_from_rows_rejects_a_contradicting_width():
+    assert IntMatrix.from_rows([[1, 2]], cols=2) == IntMatrix(((1, 2),))
+    with pytest.raises(DimensionError):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+
+
+def test_group_rejects_non_integral_ranks_and_divisors():
+    assert FgAbelianGroup(True, (2,)) == FgAbelianGroup(1, (2,))
+    for bad in (2.7, 2.0, "2"):
+        with pytest.raises(TypeError):
+            FgAbelianGroup(0, (bad,))
+        with pytest.raises(TypeError):
+            FgAbelianGroup(bad, ())
+
+
+def test_solve_integer_rejects_a_non_integral_right_hand_side():
+    a = IntMatrix(((2,),))
+    assert solve_integer(a, (2,)) == (1,)
+    for bad in (2.0, 2.5, "2"):
+        with pytest.raises(TypeError):
+            solve_integer(a, (bad,))
+
+
+def test_decomposition_solve_rejects_a_non_integral_right_hand_side():
+    s = smith_normal_form(IntMatrix(((2,),)))
+    assert s.solve((2,)) == (1,)
+    for bad in (2.0, 2.5, "2"):
+        with pytest.raises(TypeError):
+            s.solve((bad,))
