@@ -125,9 +125,9 @@ def cmd_cork(args) -> int:
     return 0
 
 
-def cmd_w_move(args) -> int:
+def cmd_w_move(args, move) -> int:
     h = _load_handlebody(args.file)
-    sys.stdout.write(render_handlebody(args.move(h, args.idx - 1, args.p)))
+    sys.stdout.write(render_handlebody(move(h, args.idx - 1, args.p)))
     return 0
 
 
@@ -252,107 +252,87 @@ def cmd_stability_quasi(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# command -> (help, handler or table of sub-commands, arguments).  An
+# argument is a name, a (name, add_argument keywords) pair, or a list of
+# flags of which exactly one is required.
+_INT = {"type": int}
+_BOUND = ("--bound", {"type": int, "default": 2})
+_W_MOVE = ("file", ("idx", {"type": int, "help": "1-based 2-handle id"}), ("p", _INT))
 
-def build_parser() -> argparse.ArgumentParser:
+STABILITY_COMMANDS = {
+    "sum": ("connected/boundary sum stability", cmd_stability_sum, (
+        "x1", "x2", "z1", "z2",
+        ("--mode", {"choices": ("h2zero", "nondegenerate"), "required": True}), _BOUND)),
+    "quasi": ("quasi-invertible attachment stability", cmd_stability_quasi, (
+        "x1", "x2", ("k1", {"help": "module file for the first K summand"}),
+        ("k2", {"help": "module file for the second K summand"}), _BOUND)),
+}
+
+COMMANDS = {
+    "info": ("summarize a handlebody file", cmd_info, ("file",)),
+    "homology": ("H1, H2, intersection form, boundary H1", cmd_homology, ("file",)),
+    "boundary": ("boundary surgery block invariants", cmd_boundary, ("file",)),
+    "cork": ("emit a Mazur-type cork template", cmd_cork, (("r", _INT), ("s", _INT), ("m", _INT))),
+    "wminus": ("tb-neutral canceling-pair insertion",
+               lambda args: cmd_w_move(args, w_minus), _W_MOVE),
+    "wplus": ("tb-raising canceling-pair insertion",
+              lambda args: cmd_w_move(args, w_plus), _W_MOVE),
+    "steinify": ("drive every framing to tb - 1", cmd_steinify, ("file",)),
+    "hihc": ("HIHC necessary-condition certificate", cmd_hihc, ("file1", "file2", _BOUND)),
+    "sum": ("boundary or connected sum of two files", cmd_sum,
+            ("file1", "file2", ["--boundary", "--connected"])),
+    "equiv": ("bounded algebraic equivalence of module files", cmd_equiv,
+              ("table1", "table2", _BOUND)),
+    "ag": ("disk-bundle lower-bound function", cmd_ag, (
+        "table", ("r", {"help": "invariant value (int, inf, -inf)"}),
+        ("n", {"type": int, "help": "self-intersection number"}))),
+    "kmbound": ("mod-16 characteristic-class obstruction", cmd_kmbound, (
+        ("formfile", {"help": "module file carrying the form"}),
+        ("alpha", {"help": "comma-separated coefficients, e.g. 3,1"}))),
+    "stability": ("stability checkers", STABILITY_COMMANDS, ()),
+}
+
+
+def _add_commands(parser, dest, table, argv) -> None:
+    """Add a subparser for each command of table, or only for argv[0] if it names one."""
+    if argv and argv[0] in table:
+        # usage lines of later errors still list every command
+        names, rest, metavar = argv[:1], argv[1:], "{" + ",".join(table) + "}"
+    else:
+        names, rest, metavar = table, (), None
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, arguments = table[name]
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(handler, dict):
+            _add_commands(p, f"{name}_command", handler, rest)
+            continue
+        for arg in arguments:
+            if isinstance(arg, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag in arg:
+                    group.add_argument(flag, action="store_true")
+            else:
+                arg_name, keywords = (arg, {}) if isinstance(arg, str) else arg
+                p.add_argument(arg_name, **keywords)
+        p.set_defaults(func=handler)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The kirbycalc parser; given argv, only with the subparsers that argv names."""
     parser = argparse.ArgumentParser(
         prog="kirbycalc",
         description="exact invariants of combinatorial 4-dimensional "
                     "2-handlebodies ('-' reads stdin)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="summarize a handlebody file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("homology", help="H1, H2, intersection form, boundary H1")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_homology)
-
-    p = sub.add_parser("boundary", help="boundary surgery block invariants")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_boundary)
-
-    p = sub.add_parser("cork", help="emit a Mazur-type cork template")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("m", type=int)
-    p.set_defaults(func=cmd_cork)
-
-    p = sub.add_parser("wminus", help="tb-neutral canceling-pair insertion")
-    p.add_argument("file")
-    p.add_argument("idx", type=int, help="1-based 2-handle id")
-    p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_w_move, move=w_minus)
-
-    p = sub.add_parser("wplus", help="tb-raising canceling-pair insertion")
-    p.add_argument("file")
-    p.add_argument("idx", type=int, help="1-based 2-handle id")
-    p.add_argument("p", type=int)
-    p.set_defaults(func=cmd_w_move, move=w_plus)
-
-    p = sub.add_parser("steinify", help="drive every framing to tb - 1")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_steinify)
-
-    p = sub.add_parser("hihc", help="HIHC necessary-condition certificate")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("--bound", type=int, default=2)
-    p.set_defaults(func=cmd_hihc)
-
-    p = sub.add_parser("sum", help="boundary or connected sum of two files")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--boundary", action="store_true")
-    group.add_argument("--connected", action="store_true")
-    p.set_defaults(func=cmd_sum)
-
-    p = sub.add_parser("equiv", help="bounded algebraic equivalence of module files")
-    p.add_argument("table1")
-    p.add_argument("table2")
-    p.add_argument("--bound", type=int, default=2)
-    p.set_defaults(func=cmd_equiv)
-
-    p = sub.add_parser("ag", help="disk-bundle lower-bound function")
-    p.add_argument("table")
-    p.add_argument("r", help="invariant value (int, inf, -inf)")
-    p.add_argument("n", type=int, help="self-intersection number")
-    p.set_defaults(func=cmd_ag)
-
-    p = sub.add_parser("kmbound", help="mod-16 characteristic-class obstruction")
-    p.add_argument("formfile", help="module file carrying the form")
-    p.add_argument("alpha", help="comma-separated coefficients, e.g. 3,1")
-    p.set_defaults(func=cmd_kmbound)
-
-    p = sub.add_parser("stability", help="stability checkers")
-    stab = p.add_subparsers(dest="stability_command", required=True)
-
-    q = stab.add_parser("sum", help="connected/boundary sum stability")
-    q.add_argument("x1")
-    q.add_argument("x2")
-    q.add_argument("z1")
-    q.add_argument("z2")
-    q.add_argument("--mode", choices=("h2zero", "nondegenerate"),
-                   required=True)
-    q.add_argument("--bound", type=int, default=2)
-    q.set_defaults(func=cmd_stability_sum)
-
-    q = stab.add_parser("quasi", help="quasi-invertible attachment stability")
-    q.add_argument("x1")
-    q.add_argument("x2")
-    q.add_argument("k1", help="module file for the first K summand")
-    q.add_argument("k2", help="module file for the second K summand")
-    q.add_argument("--bound", type=int, default=2)
-    q.set_defaults(func=cmd_stability_quasi)
-
+    _add_commands(parser, "command", COMMANDS, argv or ())
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (KirbyCalcError, OSError) as exc:

@@ -1,11 +1,12 @@
+import argparse
 import io
 import random
 import sys
 
 import pytest
 
-from kirbycalc.cli import main
-from kirbycalc.handlebody import handlebody
+from kirbycalc.cli import COMMANDS, build_parser, main
+from kirbycalc.handlebody import handlebody, mazur_cork_template
 from kirbycalc.textio import render_handlebody, render_module, render_table
 from kirbycalc.genus import identity_disk_bundle_table
 from kirbycalc.forms import decorated_module
@@ -206,3 +207,30 @@ def test_stdin_follows_the_ascii_rule_of_files(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, "homology", "-")
         assert (code, out) == (2, "")
         assert err == "kirbycalc: error: stdin is not ASCII text\n"
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["kirbycalc", "cork", "1", "1", "1"])
+    assert main() == 0
+    assert capsys.readouterr().out == render_handlebody(mazur_cork_template(1, 1, 1))
+    monkeypatch.setattr(sys, "argv", ["kirbycalc", "sum", "a.hb", "b.hb"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "one of the arguments --boundary --connected is required" in capsys.readouterr().err
+
+
+def _subcommands(parser):
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_build_parser_adds_only_the_named_command():
+    assert list(_subcommands(build_parser())) == list(COMMANDS)
+    for argv in ([], ["-h"], ["bogus"], ["--bound", "2", "homology"]):
+        assert list(_subcommands(build_parser(argv))) == list(COMMANDS)
+    assert list(_subcommands(build_parser(["homology", "x.hb"]))) == ["homology"]
+    stability = _subcommands(build_parser(["stability", "quasi"]))["stability"]
+    assert list(_subcommands(stability)) == ["quasi"]
+    stability = _subcommands(build_parser(["stability", "--help"]))["stability"]
+    assert list(_subcommands(stability)) == ["sum", "quasi"]
