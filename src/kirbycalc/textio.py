@@ -66,16 +66,15 @@ class _Record:
 
 
 def _records(text, header=None):
-    """A record per non-blank line of text, and the number of lines.
-    With a header, line 1 must read it (blanks around allowed)."""
+    """A record per non-blank line of text.  With a header, line 1 must
+    read it (blanks around allowed)."""
     lines = text.splitlines()
     if header is not None and (not lines or lines[0].strip() != header):
         raise FormatError(f"missing header {header!r}", 1, 1)
     skip = header is not None
-    return ([_Record(lineno, line)
-             for lineno, line in enumerate(lines[skip:], start=1 + skip)
-             if line.strip()],
-            len(lines))
+    return [_Record(lineno, line)
+            for lineno, line in enumerate(lines[skip:], start=1 + skip)
+            if line.strip()]
 
 
 @contextmanager
@@ -132,11 +131,11 @@ def render_handlebody(h: Handlebody2) -> str:
 
 
 def parse_handlebody(text: str) -> Handlebody2:
-    records, nlines = _records(text, HANDLEBODY_HEADER)
+    records = _records(text, HANDLEBODY_HEADER)
     one_handles = None
     raw_handles = {}   # id -> (word, framing)
     raw_links = {}     # (i, j) normalized -> (value, lineno)
-    raw_fronts = {}    # id -> FrontCounts
+    raw_fronts = {}    # id -> (FrontCounts, record)
     for rec in records:
         toks = rec.toks
         if rec.kind == "one_handles":
@@ -178,18 +177,18 @@ def parse_handlebody(text: str) -> Handlebody2:
             counts = [rec.integer(k, name=name) for k, name
                       in enumerate(("writhe", "right", "up", "down"), start=2)]
             with _errors_at(rec.lineno, rec.col):
-                raw_fronts[hid] = FrontCounts(*counts)
+                raw_fronts[hid] = (FrontCounts(*counts), rec)
         else:
             raise rec.error(f"unknown line kind {rec.kind!r}")
     if one_handles is None:
-        raise FormatError("missing one_handles line", nlines, 1)
+        raise FormatError("missing one_handles line", 1, 1)
 
     index_of = {hid: i for i, hid in enumerate(sorted(raw_handles))}
-    handles = [TwoHandle(*raw_handles[hid], front=raw_fronts.pop(hid, None))
+    handles = [TwoHandle(*raw_handles[hid], front=raw_fronts.pop(hid, (None,))[0])
                for hid in index_of]
     if raw_fronts:
-        raise FormatError(f"front for unknown 2-handle {min(raw_fronts)}",
-                          nlines, 1)
+        hid = min(raw_fronts)
+        raise raw_fronts[hid][1].error(f"front for unknown 2-handle {hid}", 1)
     n = len(handles)
     linking = [[th.framing if i == j else 0 for j in range(n)]
                for i, th in enumerate(handles)]
@@ -223,7 +222,7 @@ def render_table(t: DiskBundleTable) -> str:
 
 def parse_table(text: str) -> DiskBundleTable:
     entries = {}
-    for rec in _records(text)[0]:
+    for rec in _records(text):
         if rec.kind != "entry" or len(rec.toks) != 4:
             raise rec.error("expected: entry g=<int> n=<int> value=<v>")
         g = rec.integer(1, name="g")
@@ -252,7 +251,7 @@ def render_module(d: DecoratedModule) -> str:
 
 
 def parse_module(text: str) -> DecoratedModule:
-    records, _ = _records(text, MODULE_HEADER)
+    records = _records(text, MODULE_HEADER)
     orders = {}
     form_entries = {}  # (i, j) normalized -> (value, lineno)
     gvalues = []       # (coefficients, value, record)
