@@ -236,7 +236,10 @@ def torsion_free_reduce(d: DecoratedModule) -> TorsionFreeReduction:
     for i in tor_idx:
         companions *= d.orders[i]
     if companions > TORSION_ENUMERATION_LIMIT:
-        raise CapacityError("torsion group too large to enumerate")
+        raise CapacityError(
+            f"torsion group too large to enumerate: {companions} torsion "
+            f"companions, above the limit of {TORSION_ENUMERATION_LIMIT}"
+        )
     reduced = {}
     seen = {}
     for key, val in d.gvalues.items():

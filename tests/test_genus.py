@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kirbycalc.errors import PreconditionError
+from kirbycalc.errors import CapacityError, PreconditionError
 from kirbycalc.genus import (
     a_g,
     char_class_instance,
@@ -13,6 +13,7 @@ from kirbycalc.genus import (
     lower_bound_check,
     sum_model,
     sum_stability_check,
+    TORSION_ENUMERATION_LIMIT,
     torsion_free_reduce,
 )
 from kirbycalc.forms import decorated_module
@@ -175,6 +176,17 @@ def test_reduce_idempotent():
 def test_reduce_requires_values():
     with pytest.raises(PreconditionError):
         torsion_free_reduce(decorated_module((0,), IntMatrix(((1,),))))
+
+
+def test_reduce_names_the_torsion_size_and_the_limit():
+    assert TORSION_ENUMERATION_LIMIT == 4096
+    # Z/64 + Z/65: 4160 torsion companions of each free class
+    d = decorated_module((0, 64, 65), IntMatrix(((1, 0, 0), (0, 0, 0), (0, 0, 0))),
+                         {(1, 0, 0): 2})
+    with pytest.raises(CapacityError) as exc:
+        torsion_free_reduce(d)
+    assert str(exc.value) == ("torsion group too large to enumerate: 4160 torsion "
+                              "companions, above the limit of 4096")
 
 
 # ---------------------------------------------------------------------------
