@@ -198,32 +198,15 @@ def mazur_cork_template(r: int, s: int, m: int) -> Handlebody2:
     return handlebody(1, [(tuple(word), 0)])
 
 
-def _extend_linking(linking: IntMatrix, new_rows):
-    """Append 2-handle rows/columns; new_rows are full rows of length n + new."""
-    n = linking.rows
-    total = n + len(new_rows)
-    rows = []
-    for i in range(n):
-        rows.append(list(linking.entries[i]) + [new_rows[j][i] for j in range(len(new_rows))])
-    for j in range(len(new_rows)):
-        if len(new_rows[j]) != total:
-            raise PreconditionError("linking row has wrong length")
-        rows.append(list(new_rows[j]))
-    mat = IntMatrix.from_rows(rows, cols=total)
-    if not mat.is_symmetric():
-        raise PreconditionError("extended linking matrix is not symmetric")
-    return mat
-
-
 def _insert_pair(h: Handlebody2, target: int | None, p: int,
-                 new_front: FrontCounts | None, bump_target_tb: int,
-                 w_framing: int, tag: str | None) -> Handlebody2:
+                 new_front: FrontCounts | None) -> Handlebody2:
     """Common engine of the canceling-pair insertions.
 
-    Adds dotted handle g = k + 1 and a 2-handle with word (+g); the
-    target word (when given) gains the net-zero subword (+g, -g)
-    repeated p times at its end.  All new linking entries are zero, so
-    the homology profile is untouched.
+    Adds dotted handle g = k + 1 and a 0-framed 2-handle with word (+g)
+    and front new_front; the target word (when given) gains the
+    net-zero subword (+g, -g) repeated p times at its end, and, when a
+    new front is given, the target's tb rises by p.  The new handle is
+    unlinked, so the homology profile is untouched.
     """
     g = h.k + 1
     handles = list(h.two_handles)
@@ -231,16 +214,13 @@ def _insert_pair(h: Handlebody2, target: int | None, p: int,
         if not 0 <= target < h.n:
             raise PreconditionError(f"no 2-handle with index {target}")
         th = handles[target]
-        word = th.word + (g, -g) * p
         front = th.front
-        if bump_target_tb and front is not None:
-            front = replace(front, writhe=front.writhe + bump_target_tb)
-        handles[target] = TwoHandle(word=word, framing=th.framing, front=front)
-    handles.append(TwoHandle(word=(g,), framing=w_framing, front=new_front))
-    new_row = [0] * h.n + [w_framing]
-    linking = _extend_linking(h.linking, [new_row])
-    tags = h.cert_tags + ((tag,) if tag else ())
-    return handlebody(g, handles, linking, cert_tags=tags)
+        if new_front is not None and front is not None:
+            front = replace(front, writhe=front.writhe + p)
+        handles[target] = replace(th, word=th.word + (g, -g) * p, front=front)
+    handles.append(TwoHandle(word=(g,), framing=0, front=new_front))
+    return handlebody(g, handles, block_diag(h.linking, IntMatrix.zeros(1, 1)),
+                      cert_tags=h.cert_tags + (TAG_CANCELING_PAIRS,))
 
 
 def w_minus(h: Handlebody2, target: int, p: int) -> Handlebody2:
@@ -252,12 +232,10 @@ def w_minus(h: Handlebody2, target: int, p: int) -> Handlebody2:
     """
     if p < 1:
         raise PreconditionError("p must be >= 1")
-    return _insert_pair(h, target, p, new_front=None, bump_target_tb=0,
-                        w_framing=0, tag=TAG_CANCELING_PAIRS)
+    return _insert_pair(h, target, p, None)
 
 
-def w_plus(h: Handlebody2, target: int, p: int,
-           w_framing: int = 0) -> Handlebody2:
+def w_plus(h: Handlebody2, target: int, p: int) -> Handlebody2:
     """tb-raising variant of the canceling-pair insertion.
 
     Handle-structure effect identical to the tb-neutral move (the two
@@ -270,39 +248,29 @@ def w_plus(h: Handlebody2, target: int, p: int,
     if p < 1:
         raise PreconditionError("p must be >= 1")
     new_front = FrontCounts(writhe=3, right_cusps=1, up_cusps=1, down_cusps=1)
-    return _insert_pair(h, target, p, new_front=new_front, bump_target_tb=p,
-                        w_framing=w_framing, tag=TAG_CANCELING_PAIRS)
+    return _insert_pair(h, target, p, new_front)
 
 
 def replace_front(h: Handlebody2, target: int, front: FrontCounts) -> Handlebody2:
     if not 0 <= target < h.n:
         raise PreconditionError(f"no 2-handle with index {target}")
     handles = list(h.two_handles)
-    th = handles[target]
-    handles[target] = TwoHandle(word=th.word, framing=th.framing, front=front)
-    return Handlebody2(one_handles=h.k, two_handles=tuple(handles),
-                       linking=h.linking, cert_tags=h.cert_tags)
+    handles[target] = replace(handles[target], front=front)
+    return replace(h, two_handles=tuple(handles))
 
 
-def attach_two_handles_zero_framed(h: Handlebody2, words, linking_rows=None,
+def attach_two_handles_zero_framed(h: Handlebody2, words,
                                    slice_marked: bool = False) -> Handlebody2:
-    """Attach 0-framed 2-handles along the given words.
+    """Attach unlinked 0-framed 2-handles along the given words.
 
     When slice_marked is set, the caller asserts the attaching link is
     strongly slice and the result carries the corresponding
-    quasi-invertibility certificate tag.  linking_rows, when given, are
-    the full new rows of the extended linking matrix (one per new
-    handle, length n + new, zero diagonal).
+    quasi-invertibility certificate tag.
     """
     words = [tuple(map(index, w)) for w in words]
     new = len(words)
     handles = list(h.two_handles) + [TwoHandle(word=w, framing=0) for w in words]
-    if linking_rows is None:
-        linking_rows = [[0] * (h.n + new) for _ in range(new)]
-    for j, row in enumerate(linking_rows):
-        if row[h.n + j] != 0:
-            raise PreconditionError("new framings must all be 0")
-    linking = _extend_linking(h.linking, linking_rows)
+    linking = block_diag(h.linking, IntMatrix.zeros(new, new))
     tags = h.cert_tags + ((TAG_SLICE_TWO_HANDLES,) if slice_marked else ())
     return handlebody(h.k, handles, linking, cert_tags=tags)
 
@@ -324,8 +292,7 @@ def attach_canceling_pairs(h: Handlebody2, count: int) -> Handlebody2:
         raise PreconditionError("count must be non-negative")
     out = h
     for _ in range(count):
-        out = _insert_pair(out, None, 0, new_front=None, bump_target_tb=0,
-                           w_framing=0, tag=TAG_CANCELING_PAIRS)
+        out = _insert_pair(out, None, 0, None)
     return out
 
 
@@ -334,10 +301,8 @@ def _shift_word(word, offset):
 
 
 def _block_sum(h1: Handlebody2, h2: Handlebody2, tag: str) -> Handlebody2:
-    handles = list(h1.two_handles)
-    for th in h2.two_handles:
-        handles.append(TwoHandle(word=_shift_word(th.word, h1.k),
-                                 framing=th.framing, front=th.front))
+    handles = list(h1.two_handles) + [
+        replace(th, word=_shift_word(th.word, h1.k)) for th in h2.two_handles]
     return handlebody(h1.k + h2.k, handles,
                       block_diag(h1.linking, h2.linking),
                       cert_tags=h1.cert_tags + h2.cert_tags + (tag,))

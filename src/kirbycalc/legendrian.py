@@ -69,7 +69,7 @@ def stabilize(f: FrontCounts, sign: int) -> FrontCounts:
     )
 
 
-def steinify(h, w_framing: int = 0):
+def steinify(h):
     """Rework a Legendrian handlebody so every framing equals tb - 1.
 
     Per 2-handle with framing f and Thurston-Bennequin number t:
@@ -80,7 +80,7 @@ def steinify(h, w_framing: int = 0):
       which f = tb - 1 exactly.
 
     The tb-raising move never changes any framing; the fresh 2-handle
-    it introduces (framing w_framing, tb = +2, rotation left at 0) is
+    it introduces (framing 0, tb = +2, rotation left at 0) is
     processed by the same rule.  The homology profile of the result is
     isomorphic to the input's, and the operation is idempotent.
 
@@ -106,6 +106,6 @@ def steinify(h, w_framing: int = 0):
                 sign = -sign
             current = replace_front(current, i, front)
         else:
-            current = w_plus(current, i, f - t + 1, w_framing=w_framing)
+            current = w_plus(current, i, f - t + 1)
         i += 1
     return current
