@@ -55,6 +55,7 @@ class TwoHandle:
 
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(map(index, self.word)))
+        object.__setattr__(self, "framing", index(self.framing))
 
 
 @dataclass(frozen=True)

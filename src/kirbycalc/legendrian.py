@@ -10,7 +10,8 @@ decorated handlebody to that condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import index
 
 from .errors import PreconditionError
 
@@ -30,6 +31,8 @@ class FrontCounts:
     down_cusps: int
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, index(getattr(self, f.name)))
         if self.right_cusps < 1:
             raise PreconditionError("a front needs at least one right cusp")
         if self.up_cusps < 0 or self.down_cusps < 0:

@@ -5,6 +5,7 @@ import pytest
 from kirbycalc.errors import PreconditionError
 from kirbycalc.handlebody import (
     TAG_SLICE_TWO_HANDLES,
+    TwoHandle,
     attach_canceling_pairs,
     attach_one_handle,
     attach_two_handles_zero_framed,
@@ -285,3 +286,11 @@ def test_attached_words_must_be_integral():
     assert attach_two_handles_zero_framed(h, [(1,)]).two_handles[0].word == (1,)
     with pytest.raises(TypeError):
         attach_two_handles_zero_framed(h, [(1.0,)])
+
+
+def test_two_handle_framing_must_be_integral():
+    assert handlebody(0, [((), 2)]).two_handles[0].framing == 2
+    with pytest.raises(TypeError):
+        handlebody(0, [TwoHandle((), 2.0)], IntMatrix(((2,),)))
+    with pytest.raises(TypeError):
+        TwoHandle((), "2")

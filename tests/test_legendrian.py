@@ -124,3 +124,12 @@ def test_steinify_random_suite():
         assert len(out.two_handles) == len(h.two_handles) + raises
         assert profiles_isomorphic(homology(h), homology(out))
         assert steinify(out) == out
+
+
+def test_front_counts_must_be_integral():
+    counts = dict(writhe=0, right_cusps=1, up_cusps=1, down_cusps=1)
+    assert FrontCounts(**counts) == UNKNOT_FRONT
+    for name in counts:
+        for bad in (0.5, 1.0, "3"):
+            with pytest.raises(TypeError):
+                FrontCounts(**{**counts, name: bad})
