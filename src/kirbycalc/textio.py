@@ -22,6 +22,9 @@ HANDLEBODY_HEADER = "handlebody v1"
 MODULE_HEADER = "module v1"
 
 _TOKEN = re.compile(r"\S+")
+_INTEGER = re.compile(r"-?[0-9]+")
+#: an ordered value may carry a + sign, as +inf does
+_VALUE = re.compile(r"[+-]?(?:[0-9]+|inf)")
 
 
 class _Record:
@@ -49,20 +52,20 @@ class _Record:
         return tok[len(name) + 1:]
 
     def integer(self, k, what="integer", name=None):
-        """Token k, or the text after its `name=`, as an integer."""
+        """Token k, or the text after its `name=`, as an integer: an
+        optional `-` and ASCII digits."""
         text = self.toks[k][0] if name is None else self.field(k, name)
-        try:
-            return int(text)
-        except ValueError:
-            raise self.error(f"expected {what}, got {text!r}", k) from None
+        if not _INTEGER.fullmatch(text):
+            raise self.error(f"expected {what}, got {text!r}", k)
+        return int(text)
 
     def value(self, k):
-        """The OrderedValue after `value=` in token k."""
+        """The OrderedValue after `value=` in token k: an optional sign
+        and ASCII digits, or inf, +inf, -inf."""
         text = self.field(k, "value")
-        try:
-            return OrderedValue.parse(text)
-        except ValueError as exc:
-            raise self.error(str(exc), k) from None
+        if not _VALUE.fullmatch(text):
+            raise self.error(f"not an ordered value: {text!r}", k)
+        return OrderedValue.parse(text)
 
 
 def _records(text, header=None):
