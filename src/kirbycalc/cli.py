@@ -36,7 +36,7 @@ from .handlebody import (
     w_minus,
     w_plus,
 )
-from .intmat import IntMatrix, determinant
+from .intmat import IntMatrix, cokernel, determinant
 from .legendrian import steinify
 from .textio import parse_handlebody, parse_module, parse_table, render_handlebody
 from .values import OrderedValue
@@ -106,16 +106,16 @@ def cmd_homology(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    h = _load_handlebody(args.file)
-    p = homology(h)
-    det = determinant(boundary_block_matrix(h))
+    block = boundary_block_matrix(_load_handlebody(args.file))
+    h1 = cokernel(block)
+    det = determinant(block)
     sphere = "yes" if abs(det) == 1 else "no"
     pairs = [
-        ("boundary-h1", p.boundary_h1),
+        ("boundary-h1", h1),
         ("block-determinant", det),
         ("homology-sphere", sphere),
     ]
-    _emit(pairs, f"boundary H1: {p.boundary_h1}, block determinant {det}")
+    _emit(pairs, f"boundary H1: {h1}, block determinant {det}")
     return 0
 
 
