@@ -140,8 +140,10 @@ class IntMatrix:
 
 
 def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return block2x2(a, IntMatrix.zeros(a.rows, b.cols),
-                    IntMatrix.zeros(b.rows, a.cols), b)
+    """Assemble [[a, 0], [0, b]]."""
+    return IntMatrix.from_rows(
+        [row + (0,) * b.cols for row in a.entries]
+        + [(0,) * a.cols + row for row in b.entries], cols=a.cols + b.cols)
 
 
 def with_relations(m: IntMatrix, orders) -> IntMatrix:

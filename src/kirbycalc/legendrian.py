@@ -10,7 +10,7 @@ decorated handlebody to that condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import index
 
 from .errors import PreconditionError
@@ -31,8 +31,8 @@ class FrontCounts:
     down_cusps: int
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, index(getattr(self, f.name)))
+        for name in ("writhe", "right_cusps", "up_cusps", "down_cusps"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.right_cusps < 1:
             raise PreconditionError("a front needs at least one right cusp")
         if self.up_cusps < 0 or self.down_cusps < 0:

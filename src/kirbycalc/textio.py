@@ -22,7 +22,6 @@ HANDLEBODY_HEADER = "handlebody v1"
 MODULE_HEADER = "module v1"
 
 _TOKEN = re.compile(r"\S+")
-_INTEGER = re.compile(r"-?[0-9]+")
 #: an ordered value may carry a + sign, as +inf does
 _VALUE = re.compile(r"[+-]?(?:[0-9]+|inf)")
 
@@ -53,9 +52,11 @@ class _Record:
 
     def integer(self, k, what="integer", name=None):
         """Token k, or the text after its `name=`, as an integer: an
-        optional `-` and ASCII digits."""
+        optional `-` and ASCII digits (isdigit alone also takes the
+        digits of other scripts)."""
         text = self.toks[k][0] if name is None else self.field(k, name)
-        if not _INTEGER.fullmatch(text):
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise self.error(f"expected {what}, got {text!r}", k)
         return int(text)
 
