@@ -142,8 +142,7 @@ def _generate():
         add(f"connected_sum_{i}", h, {"move": "connected_sum_model",
                                       "cork": cork(), "cork_first": i % 2 == 0})
 
-    h = inputs[0]
-    add("chain_w_plus_one_handle_boundary_sum", h,
+    add("chain_w_plus_one_handle_boundary_sum", inputs[0],
         {"move": "w_plus", "args": [1, 2]},
         {"move": "attach_one_handle"},
         {"move": "boundary_sum", "cork": [1, 1, 1], "cork_first": False})
