@@ -39,7 +39,7 @@ from .handlebody import (
 from .intmat import IntMatrix, cokernel, determinant
 from .legendrian import steinify
 from .textio import parse_handlebody, parse_module, parse_table, render_handlebody
-from .values import OrderedValue
+from .values import OrderedValue, integer
 
 
 def _read_text(path: str) -> str:
@@ -196,7 +196,7 @@ def cmd_ag(args) -> int:
 def cmd_kmbound(args) -> int:
     d = _load_module(args.formfile)
     try:
-        alpha = tuple(int(tok) for tok in args.alpha.split(","))
+        alpha = tuple(integer(tok) for tok in args.alpha.split(","))
     except ValueError:
         raise KirbyCalcError(f"alpha must be comma-separated integers, got {args.alpha!r}")
     inst = char_class_instance(d.form, alpha)
@@ -255,9 +255,9 @@ def cmd_stability_quasi(args) -> int:
 # command -> (help, handler or table of sub-commands, arguments).  An
 # argument is a name, a (name, add_argument keywords) pair, or a list of
 # flags of which exactly one is required.
-_INT = {"type": int}
-_BOUND = ("--bound", {"type": int, "default": 2})
-_W_MOVE = ("file", ("idx", {"type": int, "help": "1-based 2-handle id"}), ("p", _INT))
+_INT = {"type": integer}
+_BOUND = ("--bound", {"type": integer, "default": 2})
+_W_MOVE = ("file", ("idx", {"type": integer, "help": "1-based 2-handle id"}), ("p", _INT))
 
 STABILITY_COMMANDS = {
     "sum": ("connected/boundary sum stability", cmd_stability_sum, (
@@ -285,7 +285,7 @@ COMMANDS = {
               ("table1", "table2", _BOUND)),
     "ag": ("disk-bundle lower-bound function", cmd_ag, (
         "table", ("r", {"help": "invariant value (int, inf, -inf)"}),
-        ("n", {"type": int, "help": "self-intersection number"}))),
+        ("n", {"type": integer, "help": "self-intersection number"}))),
     "kmbound": ("mod-16 characteristic-class obstruction", cmd_kmbound, (
         ("formfile", {"help": "module file carrying the form"}),
         ("alpha", {"help": "comma-separated coefficients, e.g. 3,1"}))),

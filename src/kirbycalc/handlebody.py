@@ -31,7 +31,6 @@ from .forms import isometry_exists
 from .intmat import (
     FgAbelianGroup,
     IntMatrix,
-    block2x2,
     block_diag,
     cokernel,
     determinant,
@@ -124,12 +123,10 @@ def empty_handlebody() -> Handlebody2:
 
 def run_over_matrix(h: Handlebody2) -> IntMatrix:
     """k x n matrix of signed run-over counts (exponent sums)."""
-    rows = []
-    for g in range(1, h.k + 1):
-        rows.append(
-            [sum(1 if x == g else -1 if x == -g else 0 for x in th.word)
-             for th in h.two_handles]
-        )
+    rows = [[0] * h.n for _ in range(h.k)]
+    for j, th in enumerate(h.two_handles):
+        for x in th.word:
+            rows[abs(x) - 1][j] += 1 if x > 0 else -1
     return IntMatrix.from_rows(rows, cols=h.n)
 
 
@@ -140,7 +137,10 @@ def boundary_block_matrix(h: Handlebody2) -> IntMatrix:
     [[0, A], [A^T, linking]] of size (k + n) x (k + n).
     """
     a = run_over_matrix(h)
-    return block2x2(IntMatrix.zeros(h.k, h.k), a, a.transpose(), h.linking)
+    return IntMatrix.from_rows(
+        [(0,) * h.k + row for row in a.entries]
+        + [col + row for col, row in zip(a.transpose().entries, h.linking.entries)],
+        cols=h.k + h.n)
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,9 @@ def homology(h: Handlebody2) -> HomologyProfile:
 
 def profiles_isomorphic(p1: HomologyProfile, p2: HomologyProfile,
                         bound: int = 2) -> bool:
-    """The computable isomorphism test on two homology profiles."""
-    if p1.h1 != p2.h1 or p1.h2_rank != p2.h2_rank:
-        return False
-    if p1.boundary_h1 != p2.boundary_h1:
-        return False
-    return isometry_exists(p1.intersection_form, p2.intersection_form,
-                           bound) is not None
+    """The computable isomorphism test on two homology profiles: every
+    HIHC check holds."""
+    return all(ok for _, ok, _ in _profile_checks(p1, p2, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +335,31 @@ class HihcReport:
         return self.verdict == "PASS"
 
 
-def hihc_certificate(h1: Handlebody2, h2: Handlebody2,
-                     bound: int = 2) -> HihcReport:
+def _profile_checks(p1: HomologyProfile, p2: HomologyProfile,
+                    bound: int) -> tuple:
+    """The HIHC necessary conditions on two profiles, as (name, ok, detail)."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    p1, p2 = homology(h1), homology(h2)
-    checks = []
-    checks.append(("h1-groups-equal", p1.h1 == p2.h1,
-                   f"{p1.h1} vs {p2.h1}"))
-    checks.append(("h2-ranks-equal", p1.h2_rank == p2.h2_rank,
-                   f"{p1.h2_rank} vs {p2.h2_rank}"))
     if p1.h2_rank == p2.h2_rank:
         iso = isometry_exists(p1.intersection_form, p2.intersection_form, bound)
-        checks.append(("intersection-forms-isometric", iso is not None,
-                       f"within bound {bound}"))
+        forms = (iso is not None, f"within bound {bound}")
     else:
-        checks.append(("intersection-forms-isometric", False,
-                       "rank mismatch"))
-    checks.append(("boundary-h1-groups-equal", p1.boundary_h1 == p2.boundary_h1,
-                   f"{p1.boundary_h1} vs {p2.boundary_h1}"))
+        forms = (False, "rank mismatch")
+    return (
+        ("h1-groups-equal", p1.h1 == p2.h1, f"{p1.h1} vs {p2.h1}"),
+        ("h2-ranks-equal", p1.h2_rank == p2.h2_rank,
+         f"{p1.h2_rank} vs {p2.h2_rank}"),
+        ("intersection-forms-isometric", *forms),
+        ("boundary-h1-groups-equal", p1.boundary_h1 == p2.boundary_h1,
+         f"{p1.boundary_h1} vs {p2.boundary_h1}"),
+    )
+
+
+def hihc_certificate(h1: Handlebody2, h2: Handlebody2,
+                     bound: int = 2) -> HihcReport:
+    checks = _profile_checks(homology(h1), homology(h2), bound)
     verdict = "PASS" if all(ok for _, ok, _ in checks) else "FAIL"
-    return HihcReport(verdict=verdict, checks=tuple(checks))
+    return HihcReport(verdict=verdict, checks=checks)
 
 
 def is_homology_sphere_boundary(h: Handlebody2) -> bool:

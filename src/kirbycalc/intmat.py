@@ -161,22 +161,6 @@ def with_relations(m: IntMatrix, orders) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=m.cols + len(tor))
 
 
-def block2x2(a: IntMatrix, b: IntMatrix, c: IntMatrix, d: IntMatrix) -> IntMatrix:
-    """Assemble [[a, b], [c, d]]; shapes must be consistent."""
-    ra, ca = a.shape()
-    rb, cb = b.shape()
-    rc, cc = c.shape()
-    rd, cd = d.shape()
-    if ra != rb or rc != rd or ca != cc or cb != cd:
-        raise DimensionError("inconsistent block shapes")
-    rows = []
-    for i in range(ra):
-        rows.append(list(a.entries[i]) + list(b.entries[i]))
-    for i in range(rc):
-        rows.append(list(c.entries[i]) + list(d.entries[i]))
-    return IntMatrix.from_rows(rows, cols=ca + cb)
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U * M * V = D with U, V unimodular and D the Smith diagonal of M."""

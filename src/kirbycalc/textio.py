@@ -16,14 +16,12 @@ from .genus import DiskBundleTable, disk_bundle_table
 from .handlebody import Handlebody2, TwoHandle, handlebody
 from .intmat import IntMatrix
 from .legendrian import FrontCounts
-from .values import OrderedValue
+from .values import OrderedValue, integer
 
 HANDLEBODY_HEADER = "handlebody v1"
 MODULE_HEADER = "module v1"
 
 _TOKEN = re.compile(r"\S+")
-#: an ordered value may carry a + sign, as +inf does
-_VALUE = re.compile(r"[+-]?(?:[0-9]+|inf)")
 
 
 class _Record:
@@ -52,21 +50,21 @@ class _Record:
 
     def integer(self, k, what="integer", name=None):
         """Token k, or the text after its `name=`, as an integer: an
-        optional `-` and ASCII digits (isdigit alone also takes the
-        digits of other scripts)."""
+        optional `-` and ASCII digits (values.integer)."""
         text = self.toks[k][0] if name is None else self.field(k, name)
-        digits = text.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise self.error(f"expected {what}, got {text!r}", k)
-        return int(text)
+        try:
+            return integer(text)
+        except ValueError:
+            raise self.error(f"expected {what}, got {text!r}", k) from None
 
     def value(self, k):
         """The OrderedValue after `value=` in token k: an optional sign
-        and ASCII digits, or inf, +inf, -inf."""
+        and ASCII digits, or inf, +inf, -inf (OrderedValue.parse)."""
         text = self.field(k, "value")
-        if not _VALUE.fullmatch(text):
-            raise self.error(f"not an ordered value: {text!r}", k)
-        return OrderedValue.parse(text)
+        try:
+            return OrderedValue.parse(text)
+        except ValueError as exc:
+            raise self.error(str(exc), k) from None
 
 
 def _records(text, header=None):
@@ -137,7 +135,7 @@ def render_handlebody(h: Handlebody2) -> str:
 def parse_handlebody(text: str) -> Handlebody2:
     records = _records(text, HANDLEBODY_HEADER)
     one_handles = None
-    raw_handles = {}   # id -> (word, framing)
+    raw_handles = {}   # id -> (word, framing, record, token of word[0])
     raw_links = {}     # (i, j) normalized -> (value, lineno)
     raw_fronts = {}    # id -> (FrontCounts, record)
     for rec in records:
@@ -168,7 +166,7 @@ def parse_handlebody(text: str) -> Handlebody2:
             framing = rec.integer(i, name="framing")
             if i + 1 != len(toks):
                 raise rec.error("trailing tokens after framing", i + 1)
-            raw_handles[hid] = (tuple(word), framing)
+            raw_handles[hid] = (tuple(word), framing, rec, i - len(word))
         elif rec.kind == "linking":
             _symmetric_entry(rec, raw_links, "2-handle id", "linking number",
                              "linking values for pair")
@@ -188,7 +186,7 @@ def parse_handlebody(text: str) -> Handlebody2:
         raise FormatError("missing one_handles line", 1, 1)
 
     index_of = {hid: i for i, hid in enumerate(sorted(raw_handles))}
-    handles = [TwoHandle(*raw_handles[hid], front=raw_fronts.pop(hid, (None,))[0])
+    handles = [TwoHandle(*raw_handles[hid][:2], front=raw_fronts.pop(hid, (None,))[0])
                for hid in index_of]
     if raw_fronts:
         hid = min(raw_fronts)
@@ -208,6 +206,11 @@ def parse_handlebody(text: str) -> Handlebody2:
                 f"{handles[a].framing}", lineno, 1
             )
         linking[a][b] = linking[b][a] = v
+    for hid, (word, _, rec, first) in raw_handles.items():
+        for k, letter in enumerate(word, start=first):
+            if letter == 0 or abs(letter) > one_handles:
+                raise rec.error(
+                    f"2-handle {hid} runs over unknown 1-handle {letter}", k)
     with _errors_at():
         return handlebody(one_handles, handles,
                           IntMatrix.from_rows(linking, cols=n))

@@ -15,6 +15,19 @@ from .errors import KirbyCalcError
 _NEG, _FIN, _POS = -1, 0, 1
 
 
+def integer(text: str) -> int:
+    """text as an integer: an optional `-` and ASCII digits, else ValueError.
+
+    int() alone also takes a `+`, `_` separators, blanks around the
+    number and the digits of other scripts; the file formats and the
+    command line take none of these.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 @functools.total_ordering
 class OrderedValue:
     """An integer, or one of the two infinities."""
@@ -83,15 +96,17 @@ class OrderedValue:
 
     @classmethod
     def parse(cls, text: str) -> "OrderedValue":
-        text = text.strip()
-        if text == "inf" or text == "+inf":
+        """inf, +inf, -inf, or an integer with an optional + or - sign."""
+        if text in ("inf", "+inf"):
             return POS_INF
         if text == "-inf":
             return NEG_INF
-        try:
-            return cls(_FIN, int(text))
-        except ValueError:
-            raise ValueError(f"not an ordered value: {text!r}") from None
+        if not text.startswith("+-"):
+            try:
+                return cls(_FIN, integer(text.removeprefix("+")))
+            except ValueError:
+                pass
+        raise ValueError(f"not an ordered value: {text!r}")
 
 
 NEG_INF = OrderedValue(_NEG)

@@ -42,6 +42,50 @@ def test_run_over_examples():
     assert run_over_matrix(h).equals(IntMatrix(((1, -1), (1, 0))))
 
 
+def _reference_run_over(h):
+    """A[g - 1][j] = exponent sum of letter g in word j, read off the definition."""
+    return [[th.word.count(g) - th.word.count(-g) for th in h.two_handles]
+            for g in range(1, h.k + 1)]
+
+
+def _reference_boundary_block(h):
+    """[[0, A], [A^T, linking]], entry by entry."""
+    a, k = _reference_run_over(h), h.k
+
+    def entry(i, j):
+        if i < k:
+            return 0 if j < k else a[i][j - k]
+        return a[j][i - k] if j < k else h.linking[i - k, j - k]
+
+    return [[entry(i, j) for j in range(k + h.n)] for i in range(k + h.n)]
+
+
+def test_run_over_and_boundary_block_follow_the_definitions():
+    rng = random.Random(31)
+    cases = [handlebody(0), handlebody(3), handlebody(0, [((), 1), ((), -2)]),
+             handlebody(3, [((2, 2, -2, 2), 0), ((), 1)])]
+    cases += [rand_handlebody(rng, max_k=4, max_n=4) for _ in range(60)]
+    seen = set()
+    for h in cases:
+        used = {abs(x) for th in h.two_handles for x in th.word}
+        seen |= {"k=0"} if h.k == 0 else set()
+        seen |= {"n=0"} if h.n == 0 else set()
+        seen |= {"unused dotted handle"} if len(used) < h.k else set()
+        if any(len(set(map(abs, th.word))) < len(th.word) for th in h.two_handles):
+            seen.add("repeated letter")
+        a, block = run_over_matrix(h), boundary_block_matrix(h)
+        assert a.shape() == (h.k, h.n)
+        assert block.shape() == (h.k + h.n, h.k + h.n)
+        want_a, want_block = _reference_run_over(h), _reference_boundary_block(h)
+        for i in range(h.k):
+            for j in range(h.n):
+                assert a[i, j] == want_a[i][j]
+        for i in range(h.k + h.n):
+            for j in range(h.k + h.n):
+                assert block[i, j] == want_block[i][j]
+    assert seen == {"k=0", "n=0", "unused dotted handle", "repeated letter"}
+
+
 def test_homology_d4():
     p = homology(empty_handlebody())
     assert p.h1.is_trivial and p.h2_rank == 0 and p.boundary_h1.is_trivial
@@ -268,6 +312,36 @@ def test_hihc_passes_after_w_move():
         h = rand_handlebody(rng, min_n=1)
         out = w_minus(h, rng.randrange(h.n), rng.randint(1, 3))
         assert hihc_certificate(h, out).passed
+
+
+def test_profiles_isomorphic_agrees_with_hihc_certificate():
+    hyperbolic = handlebody(0, [((), 0), ((), 0)], IntMatrix(((0, 1), (1, 0))))
+    one_check_fails = [
+        (hyperbolic, handlebody(0, [((), 1), ((), -1)]),
+         "intersection-forms-isometric"),
+        (handlebody(1, [((1, 1), 0)]), handlebody(1, [((1, 1), 1)]),
+         "boundary-h1-groups-equal"),
+    ]
+    for h, g, name in one_check_fails:
+        rep = hihc_certificate(h, g)
+        assert [n for n, ok, _ in rep.checks if not ok] == [name]
+        assert not profiles_isomorphic(homology(h), homology(g))
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(20):
+        h = rand_handlebody(rng, min_n=1)
+        for g in (w_minus(h, rng.randrange(h.n), 1), rand_handlebody(rng)):
+            ok = profiles_isomorphic(homology(h), homology(g), bound=1)
+            assert ok == hihc_certificate(h, g, bound=1).passed
+            outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_hihc_checks_refuse_bound_zero():
+    with pytest.raises(PreconditionError, match="bound"):
+        hihc_certificate(S2XD2, S2XD2, bound=0)
+    with pytest.raises(PreconditionError, match="bound"):
+        profiles_isomorphic(homology(S2XD2), homology(S2XD2), bound=0)
 
 
 def test_two_handle_word_must_be_integral():

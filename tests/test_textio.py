@@ -81,6 +81,15 @@ def test_unknown_generator_rejected():
                          "two_handle 1 word=2 framing=0\n")
 
 
+def test_unknown_one_handle_reported_at_its_letter():
+    text = ("handlebody v1\none_handles 1\n"
+            "two_handle 7 word=1 -2 framing=0\n")
+    with pytest.raises(FormatError) as exc:
+        parse_handlebody(text)
+    assert str(exc.value) == ("line 3, column 21: "
+                              "2-handle 7 runs over unknown 1-handle -2")
+
+
 def test_conflicting_linking_rejected():
     text = ("handlebody v1\none_handles 0\n"
             "two_handle 1 word= framing=0\ntwo_handle 2 word= framing=0\n"

@@ -1,6 +1,6 @@
 import pytest
 
-from kirbycalc.values import NEG_INF, POS_INF, OrderedValue
+from kirbycalc.values import NEG_INF, POS_INF, OrderedValue, integer
 
 
 def test_finite_values_hash_like_their_int():
@@ -17,3 +17,20 @@ def test_finite_value_must_be_integral():
     assert str(OrderedValue(0, 2)) == "2"
     with pytest.raises(TypeError):
         OrderedValue(0, 2.7)
+
+
+def test_integer_and_ordered_value_tokens():
+    for text, n in (("0", 0), ("-0", 0), ("17", 17), ("-17", -17), ("007", 7)):
+        assert integer(text) == n
+        assert OrderedValue.parse(text) == n
+    for text, v in (("+5", 5), ("+0", 0), ("inf", POS_INF), ("+inf", POS_INF),
+                    ("-inf", NEG_INF)):
+        assert OrderedValue.parse(text) == v
+    int_takes = ("1_0", " 1", "1 ", "\u0661")   # int() reads these; neither reader does
+    malformed = ("", "-", "--1", "\u00b2", "1.0", "0x1")
+    for text in int_takes + malformed + ("+1", "inf"):
+        with pytest.raises(ValueError, match="not an integer"):
+            integer(text)
+    for text in int_takes + malformed + ("+", "+-5", "-+5", "++5", "+-inf", "Inf"):
+        with pytest.raises(ValueError, match="not an ordered value"):
+            OrderedValue.parse(text)
