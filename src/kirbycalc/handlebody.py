@@ -31,10 +31,9 @@ from .forms import isometry_exists
 from .intmat import (
     FgAbelianGroup,
     IntMatrix,
+    _kernel_and_cokernel,
     block_diag,
     cokernel,
-    determinant,
-    kernel_basis,
 )
 from .legendrian import FrontCounts
 
@@ -136,11 +135,15 @@ def boundary_block_matrix(h: Handlebody2) -> IntMatrix:
     Dotted circles become 0-framed circles: the block is
     [[0, A], [A^T, linking]] of size (k + n) x (k + n).
     """
-    a = run_over_matrix(h)
+    return _boundary_block(run_over_matrix(h), h.linking)
+
+
+def _boundary_block(a: IntMatrix, linking: IntMatrix) -> IntMatrix:
+    k, n = a.shape()
     return IntMatrix.from_rows(
-        [(0,) * h.k + row for row in a.entries]
-        + [col + row for col, row in zip(a.transpose().entries, h.linking.entries)],
-        cols=h.k + h.n)
+        [(0,) * k + row for row in a.entries]
+        + [col + row for col, row in zip(a.transpose().entries, linking.entries)],
+        cols=k + n)
 
 
 @dataclass(frozen=True)
@@ -154,14 +157,14 @@ class HomologyProfile:
 
 def homology(h: Handlebody2) -> HomologyProfile:
     a = run_over_matrix(h)
-    basis = kernel_basis(a)
+    basis, h1 = _kernel_and_cokernel(a)
     form = basis.transpose().mul(h.linking).mul(basis)
     return HomologyProfile(
-        h1=cokernel(a),
+        h1=h1,
         h2_rank=basis.shape()[1],
         h2_basis=basis,
         intersection_form=form,
-        boundary_h1=cokernel(boundary_block_matrix(h)),
+        boundary_h1=cokernel(_boundary_block(a, h.linking)),
     )
 
 
@@ -363,5 +366,6 @@ def hihc_certificate(h1: Handlebody2, h2: Handlebody2,
 
 
 def is_homology_sphere_boundary(h: Handlebody2) -> bool:
-    block = boundary_block_matrix(h)
-    return abs(determinant(block)) == 1
+    """|det| of the square boundary block is 1 exactly when its cokernel,
+    boundary H1, is trivial."""
+    return cokernel(boundary_block_matrix(h)).is_trivial

@@ -7,11 +7,14 @@ kernels, cokernels presented as finitely generated abelian groups,
 integer solutions of linear systems, and exact determinants and
 signatures via fraction-free (Bareiss) elimination.
 
-One Smith elimination serves every Smith-based function, and each pays
-only for the transforms it reads: smith_normal_form carries U and V,
-kernel_basis only V, solve_integer V and the right-hand side (U is
-never built), and cokernel nothing.  The pivots depend on the matrix
-alone, so all four see the same diagonal and the same V.
+One Smith elimination serves every function that reads a transform,
+and each pays only for the transforms it reads: smith_normal_form
+carries U and V, kernel_basis only V, and solve_integer V and the
+right-hand side (U is never built).  The pivots depend on the matrix
+alone, so all three see the same diagonal and the same V.  cokernel
+reads no transform and builds none: a sparse pass first takes every
++-1 pivot in Markowitz order, and the Smith elimination reduces only
+what that pass leaves.
 
 All entries are plain Python integers, never fractions; they may grow
 without bound during elimination and nothing here ever truncates.
@@ -42,11 +45,14 @@ class IntMatrix:
 
     def __post_init__(self):
         rows = tuple(tuple(map(index, row)) for row in self.entries)
-        width = len(rows[0]) if rows else int(self.cols or 0)
+        cols = None if self.cols is None else index(self.cols)
+        if cols is not None and cols < 0:
+            raise DimensionError(f"negative column count {cols}")
+        width = len(rows[0]) if rows else cols or 0
         if any(len(r) != width for r in rows):
             raise DimensionError("ragged rows")
-        if self.cols is not None and self.cols != width:
-            raise DimensionError(f"rows of length {width} but cols={self.cols}")
+        if cols is not None and cols != width:
+            raise DimensionError(f"rows of length {width} but cols={cols}")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "cols", width)
 
@@ -72,6 +78,8 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, r: int, c: int) -> "IntMatrix":
+        if index(r) < 0:
+            raise DimensionError(f"negative row count {r}")
         return cls(tuple(tuple(0 for _ in range(c)) for _ in range(r)), c)
 
     def shape(self):
@@ -408,12 +416,95 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     )
 
 
+def _unit_pivots(m):
+    """Eliminate the unit entries of m sparsely.
+
+    Returns (pivots, rest): the number of +-1 pivots taken and what they
+    leave, as row lists with no zero row or column.  The rank of m is
+    pivots plus the rank of rest, and both cokernels have the same
+    torsion.  m is kept as the nonzeros of each row and the rows of each
+    column.  While a +-1 entry remains, the one of lowest Markowitz cost
+    (r - 1)(c - 1), for r and c the nonzeros in its row and column,
+    clears its column by row operations; its row then clears by column
+    operations that touch no other row, so the pivot's row and column
+    are simply dropped.
+    """
+    rows = {}
+    cols = {}
+    for i, row in enumerate(m.entries):
+        nz = {j: x for j, x in enumerate(row) if x}
+        if nz:
+            rows[i] = nz
+            for j in nz:
+                cols.setdefault(j, set()).add(i)
+    pivots = 0
+    while True:
+        best = None
+        for i, row in rows.items():
+            r = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = r * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        prow = rows.pop(i)
+        s = prow.pop(j)
+        for col in prow:
+            cols[col].discard(i)
+        for k in cols.pop(j):
+            if k == i:
+                continue
+            row = rows[k]
+            f = row.pop(j) * s
+            for col, x in prow.items():
+                y = row.get(col, 0) - f * x
+                if y:
+                    row[col] = y
+                    cols[col].add(k)
+                else:
+                    del row[col]
+                    cols[col].discard(k)
+            if not row:
+                del rows[k]
+        pivots += 1
+    live = [j for j, rs in cols.items() if rs]
+    return pivots, [[row.get(j, 0) for j in live] for row in rows.values()]
+
+
+def _group(rows, diag, pivots=0):
+    """The cokernel of a matrix with the given row count, unit pivots and
+    Smith diagonal of what the pivots left."""
+    rank = pivots + sum(1 for d in diag if d != 0)
+    return FgAbelianGroup(free_rank=rows - rank,
+                          torsion_divisors=tuple(d for d in diag if d > 1))
+
+
 def cokernel(m: IntMatrix) -> FgAbelianGroup:
-    """The quotient of the row space Z^rows by the column images of m."""
-    diag = _eliminate([list(r) for r in m.entries], [], [])
+    """The quotient of the row space Z^rows by the column images of m.
+
+    A sparse pass takes every +-1 pivot first (_unit_pivots) and the
+    Smith elimination reduces only what it leaves; no transform is
+    built.  The group is canonical, so the pivot order changes only the
+    time taken.
+    """
+    pivots, rest = _unit_pivots(m)
+    return _group(m.rows, _eliminate(rest, [], []), pivots)
+
+
+def _kernel_and_cokernel(m: IntMatrix):
+    """(kernel_basis(m), cokernel(m)) from one elimination that keeps V."""
+    n = m.cols
+    v = _identity_rows(n)
+    diag = _eliminate([list(r) for r in m.entries], [], v)
     rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
-    return FgAbelianGroup(free_rank=m.rows - rank, torsion_divisors=torsion)
+    basis = IntMatrix.from_rows([[col[i] for col in v[rank:]] for i in range(n)],
+                                cols=n - rank)
+    return basis, _group(m.rows, diag)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -424,11 +515,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     free from unimodularity of V).  Returned as a cols x (cols - rank)
     matrix whose columns are the basis vectors.
     """
-    n = m.cols
-    v = _identity_rows(n)
-    rank = sum(1 for d in _eliminate([list(r) for r in m.entries], [], v) if d != 0)
-    return IntMatrix.from_rows([[col[i] for col in v[rank:]] for i in range(n)],
-                               cols=n - rank)
+    return _kernel_and_cokernel(m)[0]
 
 
 def determinant(m: IntMatrix) -> int:

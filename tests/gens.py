@@ -9,7 +9,15 @@ from kirbycalc.forms import (
     preserves_form,
     split_module,
 )
-from kirbycalc.handlebody import Handlebody2, handlebody
+from kirbycalc.handlebody import (
+    Handlebody2,
+    attach_canceling_pairs,
+    boundary_sum,
+    handlebody,
+    mazur_cork_template,
+    w_minus,
+    w_plus,
+)
 from kirbycalc.intmat import IntMatrix, determinant
 from kirbycalc.legendrian import FrontCounts
 
@@ -95,6 +103,20 @@ def rand_handlebody(rng, max_k=3, max_n=3, max_entry=3, min_n=0,
             linking[i][j] = v
             linking[j][i] = v
     return handlebody(k, handles, IntMatrix.from_rows(linking, cols=n))
+
+
+def rand_moved_handlebody(rng, max_k=4, max_n=5, max_pairs=4, max_corks=2):
+    """A random handlebody after a w-move, canceling pairs and a cork sum,
+    each step taken or skipped at random."""
+    h = rand_handlebody(rng, max_k=max_k, max_n=max_n, max_entry=2, min_n=1)
+    move = rng.choice((None, w_minus, w_plus))
+    if move is not None:
+        h = move(h, rng.randrange(h.n), rng.randint(1, 3))
+    h = attach_canceling_pairs(h, rng.randint(0, max_pairs))
+    for _ in range(rng.randint(0, max_corks)):
+        cork = mazur_cork_template(*(rng.randint(1, 3) for _ in range(3)))
+        h = boundary_sum(h, cork) if rng.random() < 0.5 else boundary_sum(cork, h)
+    return h
 
 
 # ---------------------------------------------------------------------------

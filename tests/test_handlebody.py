@@ -23,10 +23,16 @@ from kirbycalc.handlebody import (
     w_minus,
     w_plus,
 )
-from kirbycalc.intmat import FgAbelianGroup, IntMatrix, determinant
+from kirbycalc.intmat import (
+    FgAbelianGroup,
+    IntMatrix,
+    cokernel,
+    determinant,
+    kernel_basis,
+)
 from kirbycalc.legendrian import UNKNOT_FRONT, thurston_bennequin
 
-from .gens import rand_handlebody
+from .gens import rand_handlebody, rand_moved_handlebody
 
 S2XD2 = handlebody(0, [((), 0)])
 
@@ -84,6 +90,28 @@ def test_run_over_and_boundary_block_follow_the_definitions():
             for j in range(h.k + h.n):
                 assert block[i, j] == want_block[i][j]
     assert seen == {"k=0", "n=0", "unused dotted handle", "repeated letter"}
+
+
+def test_homology_reads_each_group_from_its_own_matrix():
+    rng = random.Random(47)
+    for _ in range(200):
+        h = rand_moved_handlebody(rng)
+        a = run_over_matrix(h)
+        p = homology(h)
+        assert p.h1 == cokernel(a)
+        assert p.h2_basis == kernel_basis(a)
+        assert p.boundary_h1 == cokernel(boundary_block_matrix(h))
+
+
+def test_homology_sphere_boundary_is_a_unit_block_determinant():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(300):
+        h = rand_moved_handlebody(rng, max_k=2, max_n=2)
+        want = abs(determinant(boundary_block_matrix(h))) == 1
+        assert is_homology_sphere_boundary(h) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_homology_d4():

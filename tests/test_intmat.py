@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from kirbycalc.errors import DimensionError
+from kirbycalc.handlebody import boundary_block_matrix
 from kirbycalc.intmat import (
     FgAbelianGroup,
     IntMatrix,
+    _eliminate,
+    _unit_pivots,
     cokernel,
     determinant,
     is_unimodular,
@@ -17,7 +20,12 @@ from kirbycalc.intmat import (
     with_relations,
 )
 
-from .gens import rand_matrix, rand_symmetric, rand_unimodular
+from .gens import (
+    rand_matrix,
+    rand_moved_handlebody,
+    rand_symmetric,
+    rand_unimodular,
+)
 
 
 def cofactor_det(m):
@@ -366,3 +374,115 @@ def test_decomposition_solve_rejects_a_non_integral_right_hand_side():
     for bad in (2.0, 2.5, "2"):
         with pytest.raises(TypeError):
             s.solve((bad,))
+
+
+def test_negative_column_count_is_refused():
+    with pytest.raises(DimensionError):
+        IntMatrix((), -3)
+
+
+def test_zeros_refuses_a_negative_column_count():
+    with pytest.raises(DimensionError):
+        IntMatrix.zeros(0, -2)
+
+
+def test_non_integral_column_count_is_refused():
+    with pytest.raises(TypeError):
+        IntMatrix((), 2.0)
+
+
+def test_zeros_refuses_a_negative_row_count():
+    with pytest.raises(DimensionError):
+        IntMatrix.zeros(-2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the sparse unit-pivot pass of cokernel
+
+
+def reference_cokernel(m):
+    """The cokernel read off one Smith elimination of the whole matrix."""
+    diag = _eliminate([list(r) for r in m.entries], [], [])
+    rank = sum(1 for d in diag if d != 0)
+    return FgAbelianGroup(m.rows - rank, tuple(d for d in diag if d > 1))
+
+
+def rand_sparse_units(rng, rows, cols, density):
+    return IntMatrix.from_rows(
+        [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)], cols=cols)
+
+
+def rand_boundary_block(rng, max_rows=None):
+    while True:
+        block = boundary_block_matrix(rand_moved_handlebody(rng))
+        if max_rows is None or block.rows <= max_rows:
+            return block
+
+
+def test_cokernel_matches_one_whole_elimination():
+    rng = random.Random(2909)
+    cases = [IntMatrix.zeros(r, c) for r, c in
+             [(0, 0)] + [(0, n) for n in range(1, 6)] + [(n, 0) for n in range(1, 6)]]
+    cases += [rand_matrix(rng, max_dim=7) for _ in range(2500)]
+    cases += [rand_sparse_units(rng, rng.randint(1, 12), rng.randint(1, 12),
+                                rng.uniform(0.1, 0.5)) for _ in range(4000)]
+    cases += [rand_boundary_block(rng) for _ in range(10_000 - len(cases))]
+    assert len(cases) == 10_000
+    torsion = free = remainder = 0
+    for m in cases:
+        got = cokernel(m)
+        assert got == reference_cokernel(m), m
+        torsion += bool(got.torsion_divisors)
+        free += got.free_rank > 0
+        remainder += bool(_unit_pivots(m)[1])
+    assert min(torsion, free, remainder) > 500
+
+
+def test_unit_pivots_leave_no_unit_and_keep_the_rank():
+    rng = random.Random(4111)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            m = rand_boundary_block(rng)
+        else:
+            m = rand_sparse_units(rng, rng.randint(1, 10), rng.randint(1, 10),
+                                  rng.uniform(0.1, 0.5))
+        pivots, rest = _unit_pivots(m)
+        assert all(abs(x) != 1 for row in rest for x in row)
+        assert all(any(row) for row in rest)
+        assert all(any(row[j] for row in rest) for j in range(len(rest[0]) if rest else 0))
+        rank = sum(1 for d in _eliminate(rest, [], []) if d != 0)
+        assert pivots + rank == smith_normal_form(m).rank
+
+
+def test_cokernel_of_unit_blocks_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(5303)
+    cases = [rand_boundary_block(rng, max_rows=20) for _ in range(150)]
+    cases += [rand_sparse_units(rng, rng.randint(1, 20), rng.randint(1, 20),
+                                rng.uniform(0.1, 0.5)) for _ in range(150)]
+    assert max(m.rows for m in cases) == 20
+    for m in cases:
+        r, c = m.shape()
+        factors = [abs(int(x)) for x in
+                   invariant_factors(sympy.Matrix(r, c, [x for row in m.entries for x in row]),
+                                     domain=sympy.ZZ)]
+        rank = sum(1 for x in factors if x != 0)
+        want = FgAbelianGroup(r - rank, tuple(sorted(x for x in factors if x > 1)))
+        assert cokernel(m) == want, m
+
+
+def test_cokernel_of_unit_blocks_is_unimodular_invariant():
+    rng = random.Random(6007)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            m = rand_boundary_block(rng, max_rows=14)
+        else:
+            m = rand_sparse_units(rng, rng.randint(1, 10), rng.randint(1, 10),
+                                  rng.uniform(0.1, 0.5))
+        r, c = m.shape()
+        left = rand_unimodular(rng, r, moves=rng.randint(0, 12), max_shear=1)
+        right = rand_unimodular(rng, c, moves=rng.randint(0, 12), max_shear=1)
+        assert cokernel(left.mul(m).mul(right)) == cokernel(m)
