@@ -36,7 +36,7 @@ from .handlebody import (
     w_minus,
     w_plus,
 )
-from .intmat import IntMatrix, cokernel, determinant
+from .intmat import IntMatrix, cokernel_and_determinant
 from .legendrian import steinify
 from .textio import parse_handlebody, parse_module, parse_table, render_handlebody
 from .values import OrderedValue, integer
@@ -107,8 +107,7 @@ def cmd_homology(args) -> int:
 
 def cmd_boundary(args) -> int:
     block = boundary_block_matrix(_load_handlebody(args.file))
-    h1 = cokernel(block)
-    det = determinant(block)
+    h1, det = cokernel_and_determinant(block)
     sphere = "yes" if abs(det) == 1 else "no"
     pairs = [
         ("boundary-h1", h1),

@@ -25,25 +25,29 @@ _TOKEN = re.compile(r"\S+")
 
 
 class _Record:
-    """One non-blank line: its number, its kind (first token) and its
-    tokens with their 1-based columns.  The readers raise FormatError at
-    this line and the column of the token they read."""
+    """One non-blank line: its number, the line, its tokens and its kind
+    (the first token).  The readers raise FormatError at this line and
+    the 1-based column of the token they read; columns are found only
+    then."""
 
-    __slots__ = ("lineno", "toks", "kind", "col")
+    __slots__ = ("lineno", "line", "toks", "kind")
 
     def __init__(self, lineno, line):
         self.lineno = lineno
-        self.toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
-        self.kind, self.col = self.toks[0]
+        self.line = line
+        self.toks = line.split()
+        self.kind = self.toks[0]
 
-    def error(self, message, k=None):
-        """FormatError at token k, or at the line's first token."""
-        return FormatError(message, self.lineno,
-                           self.col if k is None else self.toks[k][1])
+    def error(self, message, k=0):
+        """FormatError at token k, by default the line's first token.
+        str.split and _TOKEN agree on what is whitespace, so token k is
+        the k-th match of _TOKEN."""
+        starts = [m.start() for m in _TOKEN.finditer(self.line)]
+        return FormatError(message, self.lineno, starts[k] + 1)
 
     def field(self, k, name):
         """The text after `name=` in token k."""
-        tok = self.toks[k][0]
+        tok = self.toks[k]
         if not tok.startswith(name + "="):
             raise self.error(f"expected {name}=<value>, got {tok!r}", k)
         return tok[len(name) + 1:]
@@ -51,7 +55,7 @@ class _Record:
     def integer(self, k, what="integer", name=None):
         """Token k, or the text after its `name=`, as an integer: an
         optional `-` and ASCII digits (values.integer)."""
-        text = self.toks[k][0] if name is None else self.field(k, name)
+        text = self.toks[k] if name is None else self.field(k, name)
         try:
             return integer(text)
         except ValueError:
@@ -80,12 +84,15 @@ def _records(text, header=None):
 
 
 @contextmanager
-def _errors_at(line=1, column=1):
-    """Report a KirbyCalcError raised inside as a FormatError at line, column."""
+def _errors_at(rec=None):
+    """Report a KirbyCalcError raised inside as a FormatError at rec's
+    first token, or at line 1, column 1."""
     try:
         yield
     except KirbyCalcError as exc:
-        raise FormatError(str(exc), line, column) from None
+        if rec is None:
+            raise FormatError(str(exc), 1, 1) from None
+        raise rec.error(str(exc)) from None
 
 
 def _symmetric_entry(rec, entries, id_what, value_what, conflict):
@@ -158,7 +165,7 @@ def parse_handlebody(text: str) -> Handlebody2:
             if rec.field(2, "word"):
                 word.append(rec.integer(2, "word letter", "word"))
             i = 3
-            while i < len(toks) and not toks[i][0].startswith("framing="):
+            while i < len(toks) and not toks[i].startswith("framing="):
                 word.append(rec.integer(i, "word letter"))
                 i += 1
             if i == len(toks):
@@ -178,7 +185,7 @@ def parse_handlebody(text: str) -> Handlebody2:
                 raise rec.error(f"duplicate front for 2-handle {hid}", 1)
             counts = [rec.integer(k, name=name) for k, name
                       in enumerate(("writhe", "right", "up", "down"), start=2)]
-            with _errors_at(rec.lineno, rec.col):
+            with _errors_at(rec):
                 raw_fronts[hid] = (FrontCounts(*counts), rec)
         else:
             raise rec.error(f"unknown line kind {rec.kind!r}")
@@ -275,7 +282,7 @@ def parse_module(text: str) -> DecoratedModule:
             _symmetric_entry(rec, form_entries, "generator id", "form value",
                              "form values for")
         elif rec.kind == "genus":
-            if len(toks) < 2 or not toks[-1][0].startswith("value="):
+            if len(toks) < 2 or not toks[-1].startswith("value="):
                 raise rec.error("expected: genus <coefficients> value=<v>")
             coeffs = tuple(rec.integer(k, "coefficient")
                            for k in range(1, len(toks) - 1))

@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -8,6 +9,8 @@ from kirbycalc.genus import identity_disk_bundle_table
 from kirbycalc.handlebody import empty_handlebody, handlebody
 from kirbycalc.intmat import IntMatrix
 from kirbycalc.textio import (
+    _TOKEN,
+    _Record,
     parse_handlebody,
     parse_module,
     parse_table,
@@ -173,3 +176,23 @@ def test_module_bad_genus_arity():
     text = ("module v1\ngenerator 1 order=0\ngenus 1 2 value=0\n")
     with pytest.raises(FormatError):
         parse_module(text)
+
+
+def test_record_tokens_and_columns_match_the_token_pattern():
+    rng = random.Random(61)
+    letters = [c for c in string.printable if not c.isspace()]
+    for _ in range(2000):
+        gaps = ["".join(rng.choice(" \t") for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 6))]
+        gaps[0] = gaps[0] if rng.random() < 0.5 else ""
+        words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))
+                 for _ in gaps]
+        line = "".join(g + w for g, w in zip(gaps, words)) + rng.choice(("", " ", "\t "))
+        rec = _Record(7, line)
+        matches = list(_TOKEN.finditer(line))
+        assert rec.toks == [m.group(0) for m in matches] == words
+        assert rec.kind == words[0]
+        assert rec.error("x").column == matches[0].start() + 1
+        for k, m in enumerate(matches):
+            err = rec.error("x", k)
+            assert (err.line, err.column) == (7, m.start() + 1)
