@@ -8,15 +8,16 @@ integer solutions of linear systems, and exact determinants and
 signatures via fraction-free (Bareiss) elimination.
 
 One Smith elimination serves every function that reads a transform,
-and each pays only for the transforms it reads: smith_normal_form
-carries U and V, kernel_basis only V, and solve_integer V and the
-right-hand side (U is never built).  The pivots depend on the matrix
-alone, so all three see the same diagonal and the same V.  cokernel
-reads no transform and builds none: a sparse pass first takes every
-+-1 pivot in Markowitz order, and the Smith elimination reduces only
-what that pass leaves.  The same pass yields the sign its pivots give
-the determinant, so cokernel_and_determinant runs Bareiss only on that
-remainder; determinant alone stays a dense Bareiss elimination.
+and each pays only for the transforms it reads: it carries U for
+smith_normal_form and the right-hand side for solve_integer, and it
+records its column operations, which each caller replays over just the
+vectors it reads (all of V, V's kernel columns, or one V y).  The
+pivots depend on the matrix alone, so all see the same diagonal and V.
+cokernel reads no transform and builds none: a sparse pass first takes
+every +-1 pivot in Markowitz order, and the Smith elimination reduces
+only what that pass leaves.  The same pass yields the sign its pivots
+give the determinant, so cokernel_and_determinant runs Bareiss only on
+that remainder; determinant alone stays a dense Bareiss elimination.
 
 All entries are plain Python integers, never fractions; they may grow
 without bound during elimination and nothing here ever truncates.
@@ -27,7 +28,7 @@ concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import index, mul
 
 from .errors import DimensionError
 
@@ -119,11 +120,12 @@ class IntMatrix:
         return IntMatrix.from_rows(out, cols=c2)
 
     def apply(self, vec):
-        """Matrix-vector product, returned as a tuple."""
+        """Matrix-vector product with an integer vector, as a tuple."""
         r, c = self.shape()
         if len(vec) != c:
             raise DimensionError(f"vector of length {len(vec)} against {r}x{c}")
-        return tuple(sum(self.entries[i][k] * vec[k] for k in range(c)) for i in range(r))
+        vec = tuple(map(index, vec))
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def is_square(self) -> bool:
         r, c = self.shape()
@@ -146,6 +148,9 @@ class IntMatrix:
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
         row_idx = list(row_idx)
         col_idx = list(col_idx)
+        for idx, n, what in ((row_idx, self.rows, "row"), (col_idx, self.cols, "column")):
+            if bad := [i for i in idx if not 0 <= i < n]:
+                raise DimensionError(f"{what} index {bad[0]} out of range for size {n}")
         return IntMatrix.from_rows(
             [[self.entries[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
         )
@@ -191,9 +196,8 @@ class SmithDecomposition:
 
     def solve(self, b):
         """One integer x with m x = b for the decomposed m, or None."""
-        return _back_substitute(self.diagonal(),
-                                self.u.apply(tuple(map(index, b))),
-                                self.v.transpose().entries)
+        y = _diagonal_solve(self.diagonal(), self.u.apply(b), self.v.cols)
+        return None if y is None else self.v.apply(y)
 
 
 @dataclass(frozen=True)
@@ -273,17 +277,16 @@ def _swap_rows(a, u, i, j):
         u[i], u[j] = u[j], u[i]
 
 
-def _swap_cols(a, v, i, j):
-    for row in a:
+def _swap_cols(a, ops, t, i, j):
+    for row in a[t:]:
         row[i], row[j] = row[j], row[i]
-    if v:
-        v[i], v[j] = v[j], v[i]
+    ops.append((i, j, None))
 
 
-def _row_sub(a, u, i, j, q):
-    # row_i -= q * row_j
+def _row_sub(a, u, t, i, j, q):
+    # row_i -= q * row_j, on columns >= t
     ai, aj = a[i], a[j]
-    for k in range(len(ai)):
+    for k in range(t, len(ai)):
         ai[k] -= q * aj[k]
     if u:
         ui, uj = u[i], u[j]
@@ -291,31 +294,30 @@ def _row_sub(a, u, i, j, q):
             ui[k] -= q * uj[k]
 
 
-def _col_sub(a, v, i, j, q):
-    # col_i -= q * col_j
-    for row in a:
+def _col_sub(a, ops, t, i, j, q):
+    # col_i -= q * col_j, on rows >= t
+    for row in a[t:]:
         row[i] -= q * row[j]
-    if v:
-        vi, vj = v[i], v[j]
-        for k in range(len(vi)):
-            vi[k] -= q * vj[k]
+    ops.append((i, j, q))
 
 
 def _identity_rows(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _eliminate(a, u, v):
+def _eliminate(a, u, ops):
     """Reduce a, a list of row lists, in place to its Smith form.
 
-    Every row operation on a is applied to u, which holds one list per
-    row of a, and every column operation to v, which holds one list per
-    column of a (the columns of the column transform).  Either may be
-    empty when the caller does not read that transform.  Pivots are
-    chosen from a alone, so a ends the same whatever is tracked.  The
-    classical pivot-improvement algorithm: entry growth is unbounded but
-    exact.  Returns the diagonal: non-negative, each entry dividing the
-    next.
+    Every row operation on a is applied to u, one list per row of a, or
+    empty when the caller does not read U.  Column operations are only
+    appended to ops, in order: (i, j, q) for col_i -= q * col_j and
+    (i, j, None) for a swap; V is their product, and each caller replays
+    them over just the vectors it reads.  Pivots depend on a alone.  When
+    pivot t is placed, rows and columns before t are zero off the
+    diagonal, so every operation touches only the trailing block from t.
+    The classical pivot-improvement algorithm: entry growth is unbounded
+    but exact.  Returns the diagonal: non-negative, each entry dividing
+    the next.
     """
     rows = len(a)
     cols = len(a[0]) if a else 0
@@ -333,7 +335,7 @@ def _eliminate(a, u, v):
         if piv is None:
             break
         _swap_rows(a, u, t, piv[0])
-        _swap_cols(a, v, t, piv[1])
+        _swap_cols(a, ops, t, t, piv[1])
 
         while True:
             restart = False
@@ -343,7 +345,7 @@ def _eliminate(a, u, v):
                 if a[i][t] == 0:
                     continue
                 q, r = divmod(a[i][t], a[t][t])
-                _row_sub(a, u, i, t, q)
+                _row_sub(a, u, t, i, t, q)
                 if r != 0:
                     _swap_rows(a, u, t, i)
                     restart = True
@@ -355,9 +357,9 @@ def _eliminate(a, u, v):
                 if a[t][j] == 0:
                     continue
                 q, r = divmod(a[t][j], a[t][t])
-                _col_sub(a, v, j, t, q)
+                _col_sub(a, ops, t, j, t, q)
                 if r != 0:
-                    _swap_cols(a, v, t, j)
+                    _swap_cols(a, ops, t, t, j)
                     restart = True
                     break
             if restart:
@@ -374,45 +376,63 @@ def _eliminate(a, u, v):
                     break
             if offender is None:
                 break
-            _row_sub(a, u, t, offender, -1)
+            _row_sub(a, u, t, t, offender, -1)
         t += 1
 
     # normalize diagonal signs into the row transform
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
+            a[i][i] = -a[i][i]
             if u:
                 u[i] = [-x for x in u[i]]
     return tuple(a[i][i] for i in range(min(rows, cols)))
 
 
-def _back_substitute(diag, ub, v):
-    """V y for the integer y with D y = ub, or None when there is none.
+def _replay(ops, y):
+    """V y, in place, for V the product of the recorded column operations.
 
-    D is the Smith matrix with the given diagonal, ub is U b and v
-    holds the columns of V, so the result solves m x = b when U m V = D.
+    V = E_1 ... E_k, so V y = E_1 (... (E_k y)): the operations run
+    backwards, and col_i -= q * col_j acts on y as y_j -= q * y_i.
     """
-    x = [0] * len(v)
+    for i, j, q in reversed(ops):
+        if q is None:
+            y[i], y[j] = y[j], y[i]
+        elif y[i]:
+            y[j] -= q * y[i]
+    return y
+
+
+def _diagonal_solve(diag, ub, n):
+    """The y in Z^n with D y = ub, or None: D is the Smith matrix with the
+    given diagonal and ub = U b, so V y solves m x = b when U m V = D."""
+    y = [0] * n
     for i, c in enumerate(ub):
         d = diag[i] if i < len(diag) else 0
         if (c % d if d else c) != 0:
             return None
         if c:
-            x = [xk + c // d * vk for xk, vk in zip(x, v[i])]
-    return tuple(x)
+            y[i] = c // d
+    return y
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize m by unimodular row and column operations.
 
     Returns U, D, V with U*m*V = D, |det U| = |det V| = 1, the diagonal
-    of D non-negative and each entry dividing the next.
+    of D non-negative and each entry dividing the next.  V is the
+    recorded column operations replayed forwards over the identity.
     """
     rows, cols = m.shape()
     a = [list(r) for r in m.entries]
     u = _identity_rows(rows)
+    ops = []
+    _eliminate(a, u, ops)
     v = _identity_rows(cols)
-    _eliminate(a, u, v)
+    for i, j, q in ops:
+        if q is None:
+            v[i], v[j] = v[j], v[i]
+        else:
+            v[i] = [x - q * y for x, y in zip(v[i], v[j])]
     return SmithDecomposition(
         u=IntMatrix.from_rows(u, cols=rows),
         d=IntMatrix.from_rows(a, cols=cols),
@@ -539,12 +559,13 @@ def cokernel_and_determinant(m: IntMatrix):
 
 
 def _kernel_and_cokernel(m: IntMatrix):
-    """(kernel_basis(m), cokernel(m)) from one elimination that keeps V."""
+    """(kernel_basis(m), cokernel(m)) from one elimination."""
     n = m.cols
-    v = _identity_rows(n)
-    diag = _eliminate([list(r) for r in m.entries], [], v)
+    ops = []
+    diag = _eliminate([list(r) for r in m.entries], [], ops)
     rank = sum(1 for d in diag if d != 0)
-    basis = IntMatrix.from_rows([[col[i] for col in v[rank:]] for i in range(n)],
+    kernel = [_replay(ops, e) for e in _identity_rows(n)[rank:]]
+    basis = IntMatrix.from_rows([[col[i] for col in kernel] for i in range(n)],
                                 cols=n - rank)
     return basis, _group(m.rows, diag)
 
@@ -554,8 +575,9 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
     The basis consists of the trailing columns of the Smith V transform,
     so it extends to a basis of the full lattice (primitivity comes for
-    free from unimodularity of V).  Returned as a cols x (cols - rank)
-    matrix whose columns are the basis vectors.
+    free from unimodularity of V), and only they are built, by replaying
+    the column operations over e_rank ... e_(cols-1).  Returned as a
+    cols x (cols - rank) matrix whose columns are the basis vectors.
     """
     return _kernel_and_cokernel(m)[0]
 
@@ -649,12 +671,14 @@ def signature(q: IntMatrix):
 def solve_integer(a: IntMatrix, b):
     """One integer solution x of a x = b, or None when none exists.
 
-    The elimination carries b along with V, so U is never built.
+    The elimination carries b in place of U, and x = V y for D y = U b
+    is replayed over y alone, so neither U nor V is built.
     """
     rows, cols = a.shape()
     if len(b) != rows:
         raise DimensionError("right-hand side length mismatch")
     ub = [[index(x)] for x in b]
-    v = _identity_rows(cols)
-    diag = _eliminate([list(r) for r in a.entries], ub, v)
-    return _back_substitute(diag, [x for x, in ub], v)
+    ops = []
+    diag = _eliminate([list(r) for r in a.entries], ub, ops)
+    y = _diagonal_solve(diag, [x for x, in ub], cols)
+    return None if y is None else tuple(_replay(ops, y))

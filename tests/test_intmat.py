@@ -1,10 +1,12 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from kirbycalc.errors import DimensionError
-from kirbycalc.handlebody import boundary_block_matrix
+from kirbycalc.handlebody import boundary_block_matrix, homology, run_over_matrix
 from kirbycalc.intmat import (
     FgAbelianGroup,
     IntMatrix,
@@ -377,6 +379,25 @@ def test_decomposition_solve_rejects_a_non_integral_right_hand_side():
             s.solve((bad,))
 
 
+def test_apply_rejects_a_non_integral_vector():
+    m = IntMatrix(((2, 1), (1, 1)))
+    assert m.apply((1, 2)) == (4, 3)
+    for bad in ((1.5, 2), (1.0, 2), ("1", 2)):
+        with pytest.raises(TypeError):
+            m.apply(bad)
+
+
+def test_submatrix_refuses_an_index_out_of_range():
+    m = IntMatrix(((1, 2),))
+    assert m.submatrix([0], [1]) == IntMatrix(((2,),))
+    for rows, cols, what in (([0], [-1], "column index -1 out of range for size 2"),
+                             ([0], [2], "column index 2 out of range for size 2"),
+                             ([-1], [0], "row index -1 out of range for size 1"),
+                             ([1], [], "row index 1 out of range for size 1")):
+        with pytest.raises(DimensionError, match=what):
+            m.submatrix(rows, cols)
+
+
 def test_negative_column_count_is_refused():
     with pytest.raises(DimensionError):
         IntMatrix((), -3)
@@ -550,3 +571,142 @@ def test_swapping_two_rows_negates_the_determinant():
         rows[i], rows[j] = rows[j], rows[i]
         swapped = IntMatrix.from_rows(rows, cols=m.cols)
         assert cokernel_and_determinant(swapped) == (group, -det), m
+
+
+# ---------------------------------------------------------------------------
+# replayed column operations against an elimination that tracks V in full
+
+
+def reference_smith(m):
+    """(U, D, V) from a Smith elimination that applies every row operation
+    to U and every column operation to V as it goes, on whole rows and
+    columns of the matrix; the pivot rules are those of _eliminate."""
+    rows, cols = m.shape()
+    a = [list(r) for r in m.entries]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]  # v[i]: column i
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
+
+    def row_sub(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_sub(i, j, q):
+        for row in a:
+            row[i] -= q * row[j]
+        v[i] = [x - q * y for x, y in zip(v[i], v[j])]
+
+    for t in range(min(rows, cols)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)
+                   if a[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        while True:
+            i = next((i for i in range(t + 1, rows) if a[i][t]), None)
+            if i is not None:
+                q, r = divmod(a[i][t], a[t][t])
+                row_sub(i, t, q)
+                if r:
+                    swap_rows(t, i)
+                continue
+            j = next((j for j in range(t + 1, cols) if a[t][j]), None)
+            if j is not None:
+                q, r = divmod(a[t][j], a[t][t])
+                col_sub(j, t, q)
+                if r:
+                    swap_cols(t, j)
+                continue
+            offender = next((i for i in range(t + 1, rows)
+                             if any(a[i][j] % a[t][t] for j in range(t + 1, cols))), None)
+            if offender is None:
+                break
+            row_sub(t, offender, -1)
+    for i in range(min(rows, cols)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    return (IntMatrix.from_rows(u, cols=rows), IntMatrix.from_rows(a, cols=cols),
+            IntMatrix.from_rows(zip(*v), cols=cols))
+
+
+def reference_solve(u, d, v, b):
+    """V y for the y with D y = U b, by whole matrix products, or None."""
+    ub = u.apply(b)
+    y = [0] * v.cols
+    for i, c in enumerate(ub):
+        di = d[i, i] if i < min(d.shape()) else 0
+        if (c % di if di else c) != 0:
+            return None
+        if di:
+            y[i] = c // di
+    return v.apply(y)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging it, if the block runs too long."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def rand_rank_deficient(rng):
+    r, c = rng.randint(1, 7), rng.randint(1, 7)
+    k = rng.randint(0, min(r, c) - 1)
+    left = rand_matrix(rng, rows=r, cols=k, max_entry=3)
+    right = rand_matrix(rng, rows=k, cols=c, max_entry=3)
+    return left.mul(right)
+
+
+def test_replayed_transforms_match_an_elimination_that_tracks_v():
+    rng = random.Random(6151)
+    cases = [(IntMatrix.zeros(r, c), None) for r, c in
+             [(0, 0)] + [(0, n) for n in range(1, 8)] + [(n, 0) for n in range(1, 8)]]
+    cases += [(rand_matrix(rng, max_dim=7), None) for _ in range(3000)]
+    cases += [(rand_sparse_units(rng, rng.randint(1, 8), rng.randint(1, 8),
+                                 rng.uniform(0.1, 0.6)), None) for _ in range(2000)]
+    cases += [(rand_rank_deficient(rng), None) for _ in range(2000)]
+    while len(cases) < 10_000:
+        h = rand_moved_handlebody(rng)
+        cases.append((run_over_matrix(h), h))
+    kernels = unsolvable = trailing = 0
+    for m, h in cases:
+        u, d, v = reference_smith(m)
+        with time_limit(10):
+            s = smith_normal_form(m)
+        assert (s.u, s.d, s.v) == (u, d, v), m
+        r, c = m.shape()
+        rank = s.rank
+        kernel = v.submatrix(range(c), range(rank, c))
+        assert kernel_basis(m) == kernel, m
+        group = FgAbelianGroup(r - rank, tuple(x for x in s.diagonal() if x > 1))
+        if h is not None:
+            profile = homology(h)
+            assert (profile.h2_basis, profile.h1) == (kernel, group), h
+        for b in (m.apply(tuple(rng.randint(-3, 3) for _ in range(c))),
+                  tuple(rng.randint(-9, 9) for _ in range(r))):
+            want = reference_solve(u, d, v, b)
+            assert solve_integer(m, b) == want, (m, b)
+            assert s.solve(b) == want, (m, b)
+            unsolvable += want is None
+        kernels += c > rank
+        trailing += rank >= 2
+    assert min(kernels, unsolvable, trailing) > 500
