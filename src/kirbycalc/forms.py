@@ -18,6 +18,7 @@ any table lookup, so key equality is deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import index, mul
 
@@ -44,18 +45,35 @@ SEARCH_RANK_LIMIT = 4
 SEARCH_CANDIDATE_LIMIT = 10**5
 
 
+def _residues(orders, vec):
+    """vec reduced by its generator orders: x mod t, or x itself when t = 0."""
+    return tuple(x % t if t else x for t, x in zip(orders, vec))
+
+
+def _ill_defined_at(t, vec, orders):
+    """First coordinate where t * vec is nonzero in the codomain, or None.
+
+    None means vec is a well-defined image of a generator of order t,
+    as every vec is for a free generator (t = 0).
+    """
+    if t:
+        for i, r in enumerate(_residues(orders, [t * x for x in vec])):
+            if r:
+                return i
+    return None
+
+
 def canonical_key(orders, vec):
     """Reduce a coefficient vector to its canonical residue representative.
 
-    Coefficients must be integers; floats and strings raise TypeError.
+    Each coefficient goes through operator.index, so floats and strings
+    raise TypeError, and is then reduced by _residues.
     """
     if len(vec) != len(orders):
         raise DimensionError(
             f"coefficient vector of length {len(vec)} on {len(orders)} generators"
         )
-    return tuple(
-        index(c) if t == 0 else index(c) % t for c, t in zip(vec, orders)
-    )
+    return _residues(orders, map(index, vec))
 
 
 @dataclass(frozen=True, eq=True)
@@ -162,13 +180,8 @@ class ModuleHom:
         if fd and abs(determinant(fblock)) != 1:
             return False
         td, tc = dom.torsion_indices, cod.torsion_indices
-        order_d = 1
-        for i in td:
-            order_d *= dom.orders[i]
-        order_c = 1
-        for i in tc:
-            order_c *= cod.orders[i]
-        if order_d != order_c:
+        order_d = math.prod(dom.orders[i] for i in td)
+        if order_d != math.prod(cod.orders[i] for i in tc):
             return False
         if not tc:
             return True
@@ -181,33 +194,26 @@ class ModuleHom:
 
 
 def module_hom(domain, codomain, matrix) -> ModuleHom:
-    """Validating constructor: the matrix must map relations into relations."""
+    """Validating constructor: the matrix must map relations into relations.
+
+    Each row is reduced to canonical residues by its codomain order, so
+    equal homomorphisms have equal matrices.
+    """
     n_d, n_c = domain.ngens, codomain.ngens
     if matrix.shape() != (n_c, n_d):
         raise DimensionError(
             f"hom matrix must be {n_c}x{n_d}, got {matrix.shape()}"
         )
     for j, t in enumerate(domain.orders):
-        if t == 0:
+        i = _ill_defined_at(t, matrix.column(j), codomain.orders)
+        if i is None:
             continue
-        for i, u in enumerate(codomain.orders):
-            x = t * matrix[i, j]
-            if u == 0:
-                if x != 0:
-                    raise PreconditionError(
-                        f"generator {j} of order {t} maps outside its order "
-                        f"(free coordinate {i})"
-                    )
-            elif x % u != 0:
-                raise PreconditionError(
-                    f"generator {j} of order {t} maps to an element whose "
-                    f"coordinate {i} is not annihilated mod {u}"
-                )
-    # canonical residues on torsion rows
-    rows = []
-    for i, u in enumerate(codomain.orders):
-        row = matrix.row(i)
-        rows.append([x % u if u != 0 else x for x in row])
+        u = codomain.orders[i]
+        where = (f"outside its order (free coordinate {i})" if u == 0 else
+                 f"to an element whose coordinate {i} is not annihilated mod {u}")
+        raise PreconditionError(f"generator {j} of order {t} maps {where}")
+    rows = [_residues(itertools.repeat(u), matrix.row(i))
+            for i, u in enumerate(codomain.orders)]
     return ModuleHom(domain=domain, codomain=codomain,
                      matrix=IntMatrix.from_rows(rows, cols=n_d))
 
@@ -457,37 +463,22 @@ def split_preserving_g_on_a(phi: ModuleHom, s1: SplitModule,
 # bounded isometry search
 
 
-def _column_candidates(codomain: DecoratedModule, bound: int, order: int):
-    """Well-defined images for a domain generator of the given order."""
-    out = []
-    for vec in itertools.product(range(-bound, bound + 1),
-                                 repeat=codomain.ngens):
-        if order != 0:
-            ok = True
-            for x, u in zip(vec, codomain.orders):
-                prod = order * x
-                if (u == 0 and prod != 0) or (u != 0 and prod % u != 0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        out.append(vec)
-    # small-norm candidates first: witnesses tend to be near-permutations
-    out.sort(key=lambda v: (sum(abs(x) for x in v), v))
-    return out
-
-
 def _norm_buckets(codomain: DecoratedModule, bound: int, order: int):
     """Candidate columns grouped by norm: norm -> [(c, c^T Q), ...].
 
-    Each bucket keeps the order of _column_candidates, so the search
-    visits the surviving candidates in the same order as a plain scan.
+    Candidates are the c with entries in [-bound, bound] that are
+    well-defined images of a generator of the given order (t*c is zero
+    in the codomain, which holds coordinate by coordinate), by L1 norm,
+    then lexicographic: witnesses tend to be near-permutations.  c^T Q
+    is Q c, as decorated_module makes Q symmetric.
     """
-    q = codomain.form.entries
-    n = codomain.ngens
+    span = range(-bound, bound + 1)
+    coords = [[x for x in span if _ill_defined_at(order, (x,), (u,)) is None]
+              for u in codomain.orders]
     buckets = {}
-    for c in _column_candidates(codomain, bound, order):
-        cq = tuple(sum(c[i] * q[i][k] for i in range(n)) for k in range(n))
+    for c in sorted(itertools.product(*coords),
+                    key=lambda c: (sum(map(abs, c)), c)):
+        cq = codomain.form.apply(c)
         buckets.setdefault(sum(map(mul, cq, c)), []).append((c, cq))
     return buckets
 
@@ -497,11 +488,12 @@ def _classes_by_level(d1: DecoratedModule):
 
     Level j holds (nonzero (index, coefficient) pairs, value) for every
     class whose image is fixed once column j is chosen.  The zero class
-    has no level.
+    has no level.  Table keys are read as stored: decorated_module has
+    already made each one canonical.
     """
     levels = [[] for _ in range(d1.ngens)]
     for key, val in d1.gvalues.items():
-        terms = [(i, a) for i, a in enumerate(d1.key(key)) if a]
+        terms = [(i, a) for i, a in enumerate(key) if a]
         if terms:
             levels[terms[-1][0]].append((terms, val))
     return levels
@@ -515,8 +507,7 @@ def _values_clash(classes, cols, d2: DecoratedModule) -> bool:
         for i, a in terms:
             for r, x in enumerate(cols[i]):
                 img[r] += a * x
-        got = table2.get(tuple(x % u if u else x
-                               for x, u in zip(img, d2.orders)))
+        got = table2.get(_residues(d2.orders, img))
         if got is not None and got != val:
             return True
     return False
@@ -579,8 +570,7 @@ def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int, *,
 
     def walk(j):
         if j == n1:
-            rows = [[cols[c][r] for c in range(n1)] for r in range(n2)]
-            hom = module_hom(d1, d2, IntMatrix.from_rows(rows, cols=n1))
+            hom = module_hom(d1, d2, IntMatrix.from_rows(cols, cols=n2).transpose())
             if dedup:
                 key = hom.matrix.entries
                 if key in seen:
@@ -613,16 +603,17 @@ def enumerate_isometries(d1: DecoratedModule, d2: DecoratedModule,
 def isometry_exists(q1: IntMatrix, q2: IntMatrix, bound: int):
     """First bounded isometry between two bare symmetric forms, or None.
 
-    Fast paths: equal matrices and pairs of zero forms of equal rank are
+    Fast paths: equal matrices, zero forms of equal rank among them, are
     isometric via the identity; forms whose exact determinant, signature
-    or parity differ admit no isometry at all.
+    or parity differ admit no isometry at all.  A bound below 1 is
+    refused before any of them, as in iter_isometries.
     """
+    if bound < 1:
+        raise PreconditionError("bound must be at least 1")
     n1, n2 = q1.rows, q2.rows
     if n1 != n2:
         return None
     if q1.equals(q2):
-        return IntMatrix.identity(n1)
-    if q1.is_zero() and q2.is_zero():
         return IntMatrix.identity(n1)
     if determinant(q1) != determinant(q2):
         return None

@@ -16,6 +16,7 @@ is represented by a sphere, so a nonzero residue forces positive genus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import index
 
@@ -232,9 +233,7 @@ def torsion_free_reduce(d: DecoratedModule) -> TorsionFreeReduction:
         raise PreconditionError("the value table must be nonempty")
     free_idx = d.free_indices
     tor_idx = d.torsion_indices
-    companions = 1
-    for i in tor_idx:
-        companions *= d.orders[i]
+    companions = math.prod(d.orders[i] for i in tor_idx)
     if companions > TORSION_ENUMERATION_LIMIT:
         raise CapacityError(
             f"torsion group too large to enumerate: {companions} torsion "

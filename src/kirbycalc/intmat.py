@@ -27,6 +27,7 @@ concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import index, mul
 
@@ -101,22 +102,16 @@ class IntMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        r, c = self.shape()
-        return IntMatrix.from_rows(
-            [[self.entries[i][j] for i in range(r)] for j in range(c)], cols=r
-        )
+        cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix.from_rows(cols, cols=self.rows)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         r1, c1 = self.shape()
         r2, c2 = other.shape()
         if c1 != r2:
             raise DimensionError(f"cannot multiply {r1}x{c1} by {r2}x{c2}")
-        out = []
-        for i in range(r1):
-            row = self.entries[i]
-            out.append(
-                [sum(row[k] * other.entries[k][j] for k in range(c1)) for j in range(c2)]
-            )
+        cols = other.transpose().entries
+        out = [[sum(map(mul, row, col)) for col in cols] for row in self.entries]
         return IntMatrix.from_rows(out, cols=c2)
 
     def apply(self, vec):
@@ -231,10 +226,7 @@ class FgAbelianGroup:
 
     @property
     def torsion_order(self) -> int:
-        n = 1
-        for d in self.torsion_divisors:
-            n *= d
-        return n
+        return math.prod(self.torsion_divisors)
 
     @classmethod
     def trivial(cls) -> "FgAbelianGroup":

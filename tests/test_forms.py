@@ -18,7 +18,9 @@ from kirbycalc.forms import (
     check_g_preservation,
     decorated_module,
     enumerate_isometries,
+    _norm_buckets,
     identity_hom,
+    isometry_exists,
     iter_isometries,
     module_hom,
     negation_hom,
@@ -463,3 +465,80 @@ def test_generator_orders_must_be_integral():
     assert decorated_module((2,)).orders == (2,)
     with pytest.raises(TypeError):
         decorated_module((2.5,))
+
+
+def _reference_buckets(codomain, bound, order):
+    """Reference candidate buckets: a filtered scan of the whole box, an
+    L1-then-lexicographic sort and a hand-written c^T Q."""
+    out = []
+    for vec in itertools.product(range(-bound, bound + 1),
+                                 repeat=codomain.ngens):
+        if order != 0:
+            ok = True
+            for x, u in zip(vec, codomain.orders):
+                prod = order * x
+                if (u == 0 and prod != 0) or (u != 0 and prod % u != 0):
+                    ok = False
+                    break
+            if not ok:
+                continue
+        out.append(vec)
+    out.sort(key=lambda v: (sum(abs(x) for x in v), v))
+    q = codomain.form.entries
+    n = codomain.ngens
+    buckets = {}
+    for c in out:
+        cq = tuple(sum(c[i] * q[i][k] for i in range(n)) for k in range(n))
+        buckets.setdefault(sum(x * y for x, y in zip(cq, c)), []).append((c, cq))
+    return buckets
+
+
+def _rand_codomain(rng):
+    orders = tuple(rng.choice((0, 2, 3, 4)) for _ in range(rng.randint(1, 4)))
+    n = len(orders)
+    rows = [[0] * n for _ in range(n)]
+    free = [i for i, t in enumerate(orders) if t == 0]
+    for a in free:
+        for b in free:
+            if a <= b:
+                rows[a][b] = rows[b][a] = rng.randint(-3, 3)
+    return decorated_module(orders, IntMatrix.from_rows(rows, cols=n))
+
+
+def test_norm_buckets_match_the_filtered_scan():
+    rng = random.Random(1207)
+    for _ in range(60):
+        d = _rand_codomain(rng)
+        for bound in (1, 2):
+            for order in (0, 2, 3, 4, 6):
+                got = _norm_buckets(d, bound, order)
+                want = _reference_buckets(d, bound, order)
+                assert list(got.items()) == list(want.items()), (
+                    d.orders, d.form.entries, bound, order)
+
+
+def test_module_hom_error_messages():
+    z, z2, z4 = (decorated_module(o) for o in ((0,), (2,), (4,)))
+    with pytest.raises(PreconditionError) as err:
+        module_hom(z2, z, IntMatrix(((1,),)))
+    assert str(err.value) == (
+        "generator 0 of order 2 maps outside its order (free coordinate 0)")
+    with pytest.raises(PreconditionError) as err:
+        module_hom(decorated_module((0, 2)), decorated_module((0, 4)),
+                   IntMatrix(((0, 0), (1, 3))))
+    assert str(err.value) == (
+        "generator 1 of order 2 maps to an element whose coordinate 1 "
+        "is not annihilated mod 4")
+    assert module_hom(z2, z4, IntMatrix(((6,),))).matrix.entries == ((2,),)
+
+
+@pytest.mark.parametrize("q1, q2", [
+    (IntMatrix(((1, 0), (0, 1))),) * 2,
+    (IntMatrix(((2, 1), (1, 2))), IntMatrix(((2, -1), (-1, 2)))),
+    (IntMatrix.zeros(2, 2),) * 2,
+    (IntMatrix(((1,),)), IntMatrix(((2,),))),
+])
+@pytest.mark.parametrize("bound", [0, -5])
+def test_isometry_exists_refuses_a_bound_below_one(q1, q2, bound):
+    with pytest.raises(PreconditionError, match="bound must be at least 1"):
+        isometry_exists(q1, q2, bound)

@@ -387,6 +387,24 @@ def test_apply_rejects_a_non_integral_vector():
             m.apply(bad)
 
 
+def test_mul_and_transpose_match_plain_loops():
+    rng = random.Random(1208)
+    shapes = [(r, k, c) for r in range(4) for k in range(4) for c in range(4)]
+    for r, k, c in shapes * 3:
+        a, b = rand_matrix(rng, rows=r, cols=k), rand_matrix(rng, rows=k, cols=c)
+        want = [[0] * c for _ in range(r)]
+        for i in range(r):
+            for j in range(c):
+                for t in range(k):
+                    want[i][j] += a[i, t] * b[t, j]
+        assert a.mul(b) == IntMatrix.from_rows(want, cols=c), (r, k, c)
+        assert b.transpose() == IntMatrix.from_rows(
+            [[b[t, j] for t in range(k)] for j in range(c)], cols=k), (k, c)
+    assert IntMatrix.zeros(3, 0).mul(IntMatrix.zeros(0, 2)) == IntMatrix.zeros(3, 2)
+    with pytest.raises(DimensionError):
+        IntMatrix.zeros(2, 3).mul(IntMatrix.zeros(2, 3))
+
+
 def test_submatrix_refuses_an_index_out_of_range():
     m = IntMatrix(((1, 2),))
     assert m.submatrix([0], [1]) == IntMatrix(((2,),))
