@@ -469,11 +469,15 @@ def _norm_buckets(codomain: DecoratedModule, bound: int, order: int):
     Candidates are the c with entries in [-bound, bound] that are
     well-defined images of a generator of the given order (t*c is zero
     in the codomain, which holds coordinate by coordinate), by L1 norm,
-    then lexicographic: witnesses tend to be near-permutations.  c^T Q
+    then lexicographic: witnesses tend to be near-permutations.  A
+    coordinate of order u keeps the first value of each class mod u in
+    (|x|, x) order, so distinct candidates are distinct columns.  c^T Q
     is Q c, as decorated_module makes Q symmetric.
     """
-    span = range(-bound, bound + 1)
-    coords = [[x for x in span if _ill_defined_at(order, (x,), (u,)) is None]
+    span = sorted(range(-bound, bound + 1), key=abs)
+    coords = [[x for i, x in enumerate(span)
+               if _ill_defined_at(order, (x,), (u,)) is None
+               and (not u or all((x - y) % u for y in span[:i]))]
               for u in codomain.orders]
     buckets = {}
     for c in sorted(itertools.product(*coords),
@@ -522,8 +526,8 @@ def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int, *,
     each off-diagonal Gram constraint against an earlier column is one
     dot product with the precomputed c^T Q2.  Within a bucket the order
     is by L1 norm, then lexicographic, so the yield order is fixed.
-    Matrices that agree after reduction to canonical torsion residues
-    are yielded once.
+    Torsion coordinates take one value per residue class, so each
+    homomorphism is reached, and yielded, at most once.
 
     With match_values=True a branch is cut as soon as a tabulated class
     of d1 maps to a class tabulated in d2 with a different value (the
@@ -558,24 +562,15 @@ def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int, *,
         levels = _classes_by_level(d1)
     q1 = d1.form.entries
     buckets = {t: _norm_buckets(d2, bound, t) for t in set(d1.orders)}
-    # Without codomain torsion module_hom reduces nothing, so distinct
-    # column choices give distinct matrices.
-    dedup = not d2.is_torsion_free
     # For symmetric forms the Gram checks give M^T Q2 M = Q1, so
     # det(M)^2 = 1 when det Q1 = det Q2 != 0 and there is no torsion.
     check_iso = not (n1 == n2 and d1.is_torsion_free and d2.is_torsion_free
                      and determinant(d1.form) == determinant(d2.form) != 0)
     cols = [None] * n1
-    seen = set()
 
     def walk(j):
         if j == n1:
             hom = module_hom(d1, d2, IntMatrix.from_rows(cols, cols=n2).transpose())
-            if dedup:
-                key = hom.matrix.entries
-                if key in seen:
-                    return
-                seen.add(key)
             if not check_iso or hom.is_isomorphism():
                 yield hom
             return

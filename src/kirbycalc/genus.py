@@ -194,7 +194,7 @@ def char_class_instance(form: IntMatrix, alpha) -> CharClassInstance:
 
 @dataclass(frozen=True)
 class KMResult:
-    residue: int  # representative in (-8, 8]
+    residue: int  # representative in [-8, 8)
     positive_genus_forced: bool
 
 

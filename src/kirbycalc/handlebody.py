@@ -341,18 +341,14 @@ class HihcReport:
 def _profile_checks(p1: HomologyProfile, p2: HomologyProfile,
                     bound: int) -> tuple:
     """The HIHC necessary conditions on two profiles, as (name, ok, detail)."""
-    if bound < 1:
-        raise PreconditionError("bound must be >= 1")
-    if p1.h2_rank == p2.h2_rank:
-        iso = isometry_exists(p1.intersection_form, p2.intersection_form, bound)
-        forms = (iso is not None, f"within bound {bound}")
-    else:
-        forms = (False, "rank mismatch")
+    iso = isometry_exists(p1.intersection_form, p2.intersection_form, bound)
+    detail = (f"within bound {bound}" if p1.h2_rank == p2.h2_rank
+              else "rank mismatch")
     return (
         ("h1-groups-equal", p1.h1 == p2.h1, f"{p1.h1} vs {p2.h1}"),
         ("h2-ranks-equal", p1.h2_rank == p2.h2_rank,
          f"{p1.h2_rank} vs {p2.h2_rank}"),
-        ("intersection-forms-isometric", *forms),
+        ("intersection-forms-isometric", iso is not None, detail),
         ("boundary-h1-groups-equal", p1.boundary_h1 == p2.boundary_h1,
          f"{p1.boundary_h1} vs {p2.boundary_h1}"),
     )

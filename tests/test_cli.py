@@ -16,6 +16,7 @@ from .gens import rand_handlebody
 
 S2XD2_TEXT = "handlebody v1\none_handles 0\ntwo_handle 1 word= framing=0\n"
 TWISTED_TEXT = "handlebody v1\none_handles 0\ntwo_handle 1 word= framing=1\n"
+EMPTY_TEXT = "handlebody v1\none_handles 0\n"
 
 
 @pytest.fixture()
@@ -146,6 +147,17 @@ def test_equiv_bound_over_capacity_exits_2(files, capsys):
     assert code == 2
     assert out == ""
     assert "104060401" in err and "100000" in err
+
+
+def test_bound_zero_exits_2_with_one_message(files, capsys):
+    hb = files("s.hb", S2XD2_TEXT)
+    mod = files("z.mod", render_module(
+        decorated_module((0,), IntMatrix(((1,),)), {(0,): 0})))
+    for argv in (("hihc", hb, hb), ("hihc", hb, files("e.hb", EMPTY_TEXT)),
+                 ("equiv", mod, mod)):
+        code, out, err = run(capsys, *argv, "--bound", "0")
+        assert (code, out) == (2, ""), argv
+        assert err == "kirbycalc: error: bound must be at least 1\n", argv
 
 
 def test_outputs_are_deterministic(files, capsys):

@@ -346,6 +346,25 @@ def test_search_order_matches_plain_scan():
         bound = 2 if d1.ngens <= 2 else 1
         found = [h.matrix.entries for h in iter_isometries(d1, d2, bound)]
         assert found == _plain_scan(d1, d2, bound)
+    # one or two torsion generators of orders 2, 3 and 4, at most three
+    # generators in all
+    rng = random.Random(1313)
+    yielded = 0
+    for _ in range(60):
+        torsion = [rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 2))]
+        orders = [0] * rng.randint(0, 3 - len(torsion)) + torsion
+        rng.shuffle(orders)
+        d1 = _rand_codomain(rng, tuple(orders))
+        if rng.random() < 0.7:
+            d2 = equivalent_copy(rng, d1)
+        else:
+            d2 = _rand_codomain(rng, tuple(rng.choice((0, 2, 3, 4))
+                                           for _ in orders))
+        bound = 2 if len(orders) <= 2 else 1
+        found = [h.matrix.entries for h in iter_isometries(d1, d2, bound)]
+        assert found == _plain_scan(d1, d2, bound), (d1.orders, d2.orders)
+        yielded += len(found)
+    assert yielded > 500
 
 
 def _unpruned_equivalence(d1, d2, bound):
@@ -468,11 +487,13 @@ def test_generator_orders_must_be_integral():
 
 
 def _reference_buckets(codomain, bound, order):
-    """Reference candidate buckets: a filtered scan of the whole box, an
-    L1-then-lexicographic sort and a hand-written c^T Q."""
+    """Reference candidate buckets: a filtered scan of the whole box, kept
+    only where each torsion coordinate is the first of its residue class
+    in (|x|, x) order, an L1-then-lexicographic sort and a hand-written
+    c^T Q."""
+    span = range(-bound, bound + 1)
     out = []
-    for vec in itertools.product(range(-bound, bound + 1),
-                                 repeat=codomain.ngens):
+    for vec in itertools.product(span, repeat=codomain.ngens):
         if order != 0:
             ok = True
             for x, u in zip(vec, codomain.orders):
@@ -482,6 +503,9 @@ def _reference_buckets(codomain, bound, order):
                     break
             if not ok:
                 continue
+        if any(u != 0 and (y - x) % u == 0 and (abs(y), y) < (abs(x), x)
+               for x, u in zip(vec, codomain.orders) for y in span):
+            continue
         out.append(vec)
     out.sort(key=lambda v: (sum(abs(x) for x in v), v))
     q = codomain.form.entries
@@ -493,8 +517,12 @@ def _reference_buckets(codomain, bound, order):
     return buckets
 
 
-def _rand_codomain(rng):
-    orders = tuple(rng.choice((0, 2, 3, 4)) for _ in range(rng.randint(1, 4)))
+def _rand_codomain(rng, orders=None):
+    """A module of the given generator orders (1-4 random ones from
+    {0, 2, 3, 4} by default) with a random form on its free part."""
+    if orders is None:
+        orders = tuple(rng.choice((0, 2, 3, 4))
+                       for _ in range(rng.randint(1, 4)))
     n = len(orders)
     rows = [[0] * n for _ in range(n)]
     free = [i for i, t in enumerate(orders) if t == 0]

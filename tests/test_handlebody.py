@@ -372,6 +372,19 @@ def test_hihc_checks_refuse_bound_zero():
         profiles_isomorphic(homology(S2XD2), homology(S2XD2), bound=0)
 
 
+def test_rank_mismatched_profiles_follow_the_one_bound_rule():
+    empty = empty_handlebody()
+    for bound in (0, -3):
+        with pytest.raises(PreconditionError) as err:
+            hihc_certificate(S2XD2, empty, bound=bound)
+        assert str(err.value) == "bound must be at least 1"
+        with pytest.raises(PreconditionError, match="bound must be at least 1"):
+            profiles_isomorphic(homology(empty), homology(S2XD2), bound=bound)
+    checks = {n: (ok, d) for n, ok, d in
+              hihc_certificate(S2XD2, empty, bound=1).checks}
+    assert checks["intersection-forms-isometric"] == (False, "rank mismatch")
+
+
 def test_two_handle_word_must_be_integral():
     assert handlebody(1, [((1,), 0)]).two_handles[0].word == (1,)
     with pytest.raises(TypeError):
