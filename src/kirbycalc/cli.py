@@ -126,6 +126,9 @@ def cmd_cork(args) -> int:
 
 def cmd_w_move(args, move) -> int:
     h = _load_handlebody(args.file)
+    if not 1 <= args.idx <= h.n:
+        raise KirbyCalcError(f"no 2-handle with id {args.idx}: "
+                             f"the file has {h.n} 2-handle(s)")
     sys.stdout.write(render_handlebody(move(h, args.idx - 1, args.p)))
     return 0
 

@@ -384,7 +384,6 @@ class Move:
 
     kind: str
     sphere_link_nonempty: bool = False
-    note: str = ""
 
 
 #: kind -> (one-line justification, True when the move always retains

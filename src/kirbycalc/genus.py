@@ -17,6 +17,7 @@ is represented by a sphere, so a nonzero residue forces positive genus.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import index
 
@@ -119,23 +120,16 @@ class AgValue:
 def a_g(r, n: int, t: DiskBundleTable) -> AgValue:
     """Smallest bundle genus whose invariant value reaches r.
 
-    Exact case analysis: the minimum g with value(g, n) = r when the
-    value is attained; g + 1 when r falls strictly between consecutive
-    values; 0 when r lies below the whole column; +infinity when r lies
-    above it, with a coverage caveat since the column stops at g_max.
+    The first g with value(g, n) >= r, as columns are non-decreasing; 0
+    when r lies below the whole column, and +infinity above it, with a
+    coverage caveat since the column stops at g_max.
     """
     if not t.covers(n):
         raise PreconditionError(f"Euler number {n} outside table coverage")
-    r = OrderedValue.of(r)
     vals = [t.value(g, n) for g in range(t.g_max + 1)]
-    if r < vals[0]:
-        return AgValue(OrderedValue.of(0))
-    for g, v in enumerate(vals):
-        if v == r:
-            return AgValue(OrderedValue.of(g))
-    for g in range(t.g_max):
-        if vals[g] < r < vals[g + 1]:
-            return AgValue(OrderedValue.of(g + 1))
+    g = bisect_left(vals, OrderedValue.of(r))
+    if g < len(vals):
+        return AgValue(OrderedValue.of(g))
     return AgValue(POS_INF, capped=True)
 
 

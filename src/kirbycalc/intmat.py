@@ -7,12 +7,11 @@ kernels, cokernels presented as finitely generated abelian groups,
 integer solutions of linear systems, and exact determinants and
 signatures via fraction-free (Bareiss) elimination.
 
-One Smith elimination serves every function that reads a transform,
-and each pays only for the transforms it reads: it carries U for
-smith_normal_form and the right-hand side for solve_integer, and it
-records its column operations, which each caller replays over just the
-vectors it reads (all of V, V's kernel columns, or one V y).  The
-pivots depend on the matrix alone, so all see the same diagonal and V.
+One Smith elimination serves every function that reads a transform:
+it records its row and column operations, and each caller replays them
+over just the vectors it reads (all of U and V, V's kernel columns, or
+one U b and one V y).  The pivots depend on the matrix alone, so all
+see the same diagonal, U and V.
 cokernel reads no transform and builds none: a sparse pass first takes
 every +-1 pivot in Markowitz order, and the Smith elimination reduces
 only what that pass leaves.  The same pass yields the sign its pivots
@@ -263,10 +262,9 @@ class FgAbelianGroup:
         return " + ".join(parts)
 
 
-def _swap_rows(a, u, i, j):
+def _swap_rows(a, rops, i, j):
     a[i], a[j] = a[j], a[i]
-    if u:
-        u[i], u[j] = u[j], u[i]
+    rops.append((i, j, None))
 
 
 def _swap_cols(a, ops, t, i, j):
@@ -275,15 +273,12 @@ def _swap_cols(a, ops, t, i, j):
     ops.append((i, j, None))
 
 
-def _row_sub(a, u, t, i, j, q):
+def _row_sub(a, rops, t, i, j, q):
     # row_i -= q * row_j, on columns >= t
     ai, aj = a[i], a[j]
     for k in range(t, len(ai)):
         ai[k] -= q * aj[k]
-    if u:
-        ui, uj = u[i], u[j]
-        for k in range(len(ui)):
-            ui[k] -= q * uj[k]
+    rops.append((i, j, q))
 
 
 def _col_sub(a, ops, t, i, j, q):
@@ -293,23 +288,18 @@ def _col_sub(a, ops, t, i, j, q):
     ops.append((i, j, q))
 
 
-def _identity_rows(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _eliminate(a, u, ops):
+def _eliminate(a, rops, ops):
     """Reduce a, a list of row lists, in place to its Smith form.
 
-    Every row operation on a is applied to u, one list per row of a, or
-    empty when the caller does not read U.  Column operations are only
-    appended to ops, in order: (i, j, q) for col_i -= q * col_j and
-    (i, j, None) for a swap; V is their product, and each caller replays
-    them over just the vectors it reads.  Pivots depend on a alone.  When
-    pivot t is placed, rows and columns before t are zero off the
-    diagonal, so every operation touches only the trailing block from t.
-    The classical pivot-improvement algorithm: entry growth is unbounded
-    but exact.  Returns the diagonal: non-negative, each entry dividing
-    the next.
+    Row operations are appended to rops and column operations to ops, in
+    order: (i, j, q) for row_i -= q * row_j (col_i -= q * col_j) and
+    (i, j, None) for a swap; a sign fix is (i, i, 2).  U and V are their
+    products, and each caller replays them over just the vectors it
+    reads.  Pivots depend on a alone.  When pivot t is placed, rows and
+    columns before t are zero off the diagonal, so every operation
+    touches only the trailing block from t.  The classical
+    pivot-improvement algorithm: entry growth is unbounded but exact.
+    Returns the diagonal: non-negative, each entry dividing the next.
     """
     rows = len(a)
     cols = len(a[0]) if a else 0
@@ -326,7 +316,7 @@ def _eliminate(a, u, ops):
                     piv = (i, j)
         if piv is None:
             break
-        _swap_rows(a, u, t, piv[0])
+        _swap_rows(a, rops, t, piv[0])
         _swap_cols(a, ops, t, t, piv[1])
 
         while True:
@@ -337,9 +327,9 @@ def _eliminate(a, u, ops):
                 if a[i][t] == 0:
                     continue
                 q, r = divmod(a[i][t], a[t][t])
-                _row_sub(a, u, t, i, t, q)
+                _row_sub(a, rops, t, i, t, q)
                 if r != 0:
-                    _swap_rows(a, u, t, i)
+                    _swap_rows(a, rops, t, i)
                     restart = True
                     break
             if restart:
@@ -368,15 +358,14 @@ def _eliminate(a, u, ops):
                     break
             if offender is None:
                 break
-            _row_sub(a, u, t, t, offender, -1)
+            _row_sub(a, rops, t, t, offender, -1)
         t += 1
 
     # normalize diagonal signs into the row transform
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             a[i][i] = -a[i][i]
-            if u:
-                u[i] = [-x for x in u[i]]
+            rops.append((i, i, 2))
     return tuple(a[i][i] for i in range(min(rows, cols)))
 
 
@@ -384,7 +373,8 @@ def _replay(ops, y):
     """V y, in place, for V the product of the recorded column operations.
 
     V = E_1 ... E_k, so V y = E_1 (... (E_k y)): the operations run
-    backwards, and col_i -= q * col_j acts on y as y_j -= q * y_i.
+    backwards, and col_i -= q * col_j acts on y as y_j -= q * y_i.  Row
+    operations have the transposed matrices, so over rops it gives U^T y.
     """
     for i, j, q in reversed(ops):
         if q is None:
@@ -392,6 +382,23 @@ def _replay(ops, y):
         elif y[i]:
             y[j] -= q * y[i]
     return y
+
+
+def _apply(rops, y):
+    """U y, in place, for U the product of the recorded row operations."""
+    for i, j, q in rops:
+        if q is None:
+            y[i], y[j] = y[j], y[i]
+        elif y[j]:
+            y[i] -= q * y[j]
+    return y
+
+
+def _replayed(ops, n, start=0):
+    """The matrix of rows _replay(ops, e_k), k = start, ..., n - 1: rows of
+    U over the row operations, rows of V^T over the column operations."""
+    return IntMatrix.from_rows([_replay(ops, [0] * k + [1] + [0] * (n - k - 1))
+                                for k in range(start, n)], cols=n)
 
 
 def _diagonal_solve(diag, ub, n):
@@ -411,25 +418,16 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize m by unimodular row and column operations.
 
     Returns U, D, V with U*m*V = D, |det U| = |det V| = 1, the diagonal
-    of D non-negative and each entry dividing the next.  V is the
-    recorded column operations replayed forwards over the identity.
+    of D non-negative and each entry dividing the next.  The rows of U
+    and of V^T are the recorded operations replayed over each e_k.
     """
-    rows, cols = m.shape()
     a = [list(r) for r in m.entries]
-    u = _identity_rows(rows)
+    rops = []
     ops = []
-    _eliminate(a, u, ops)
-    v = _identity_rows(cols)
-    for i, j, q in ops:
-        if q is None:
-            v[i], v[j] = v[j], v[i]
-        else:
-            v[i] = [x - q * y for x, y in zip(v[i], v[j])]
-    return SmithDecomposition(
-        u=IntMatrix.from_rows(u, cols=rows),
-        d=IntMatrix.from_rows(a, cols=cols),
-        v=IntMatrix.from_rows(zip(*v), cols=cols),
-    )
+    _eliminate(a, rops, ops)
+    return SmithDecomposition(u=_replayed(rops, m.rows),
+                              d=IntMatrix.from_rows(a, cols=m.cols),
+                              v=_replayed(ops, m.cols).transpose())
 
 
 def _unit_pivots(m):
@@ -552,14 +550,10 @@ def cokernel_and_determinant(m: IntMatrix):
 
 def _kernel_and_cokernel(m: IntMatrix):
     """(kernel_basis(m), cokernel(m)) from one elimination."""
-    n = m.cols
     ops = []
     diag = _eliminate([list(r) for r in m.entries], [], ops)
     rank = sum(1 for d in diag if d != 0)
-    kernel = [_replay(ops, e) for e in _identity_rows(n)[rank:]]
-    basis = IntMatrix.from_rows([[col[i] for col in kernel] for i in range(n)],
-                                cols=n - rank)
-    return basis, _group(m.rows, diag)
+    return _replayed(ops, m.cols, rank).transpose(), _group(m.rows, diag)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -663,14 +657,14 @@ def signature(q: IntMatrix):
 def solve_integer(a: IntMatrix, b):
     """One integer solution x of a x = b, or None when none exists.
 
-    The elimination carries b in place of U, and x = V y for D y = U b
-    is replayed over y alone, so neither U nor V is built.
+    The recorded row operations, applied forwards to b, give U b, and the
+    column operations x = V y for D y = U b; neither U nor V is built.
     """
-    rows, cols = a.shape()
-    if len(b) != rows:
+    if len(b) != a.rows:
         raise DimensionError("right-hand side length mismatch")
-    ub = [[index(x)] for x in b]
+    b = list(map(index, b))
+    rops = []
     ops = []
-    diag = _eliminate([list(r) for r in a.entries], ub, ops)
-    y = _diagonal_solve(diag, [x for x, in ub], cols)
+    diag = _eliminate([list(r) for r in a.entries], rops, ops)
+    y = _diagonal_solve(diag, _apply(rops, b), a.cols)
     return None if y is None else tuple(_replay(ops, y))

@@ -76,6 +76,16 @@ def test_wplus_pipeline(files, capsys):
     assert "front 2 writhe=3" in out
 
 
+@pytest.mark.parametrize("move", ["wplus", "wminus"])
+@pytest.mark.parametrize("idx", ["0", "-1", "4"])
+def test_w_move_refuses_an_id_outside_the_file(files, capsys, move, idx):
+    base = handlebody(0, [((), 0)] * 3)
+    path = files("b.hb", render_handlebody(base))
+    code, out, err = run(capsys, move, path, idx, "1")
+    assert (code, out) == (2, "")
+    assert err == f"kirbycalc: error: no 2-handle with id {idx}: the file has 3 2-handle(s)\n"
+
+
 def test_steinify_command(files, capsys):
     text = ("handlebody v1\none_handles 0\n"
             "two_handle 1 word= framing=-5\n"

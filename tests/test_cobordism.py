@@ -288,6 +288,22 @@ def test_attach_refuses_without_sufficient_condition():
         attach(AttachmentModel(x=x, cob=cob, glue=glue))
 
 
+@pytest.mark.parametrize("glue, condition", [(0, "zero-glue-map"),
+                                              (1, "non-degenerate-torsion-free")])
+def test_attach_without_flags_names_the_condition_that_holds(glue, condition):
+    # M = Z -> P = Z^2 (e1 -> e1) -> R = Z (the first coordinate), no flags
+    m = _free(1)
+    p = _free(2)
+    mp = module_hom(m, p, IntMatrix(((1,), (0,))))
+    pr = module_hom(p, m, IntMatrix(((1, 0),)))
+    cob = cobordism_model(m, p, m, mp, pr)
+    x = _free(1, [[1]])
+    res = attach(AttachmentModel(x=x, cob=cob,
+                                 glue=module_hom(m, x, IntMatrix(((glue,),)))))
+    assert res.condition == condition
+    assert res.module.orders == (0, 0)
+
+
 def test_attach_forced_values_from_zero_table():
     x = _free(1, [[1]], {(1,): 3, (0,): 0, (-1,): 3})
     k = _free(1, gvalues={(1,): 0, (0,): 0, (-1,): 1})

@@ -560,6 +560,22 @@ def test_module_hom_error_messages():
     assert module_hom(z2, z4, IntMatrix(((6,),))).matrix.entries == ((2,),)
 
 
+def test_isometry_exists_is_none_on_a_signature_mismatch():
+    # both of det 1 and odd, so only the signature tells them apart
+    plus, minus = IntMatrix.from_diagonal((1, 1)), IntMatrix.from_diagonal((-1, -1))
+    assert isometry_exists(plus, minus, 2) is None
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_isometry_exists_is_none_when_the_bounded_search_finds_nothing(bound):
+    # det -3, signature (1, 1, 0) and odd on both sides, so every fast path
+    # passes; the forms are isometric, but only by matrices with an entry
+    # of size 4 or more
+    q1 = IntMatrix(((2, 1), (1, -1)))
+    q2 = IntMatrix(((2, 9), (9, 39)))
+    assert isometry_exists(q1, q2, bound) is None
+
+
 @pytest.mark.parametrize("q1, q2", [
     (IntMatrix(((1, 0), (0, 1))),) * 2,
     (IntMatrix(((2, 1), (1, 2))), IntMatrix(((2, -1), (-1, 2)))),
