@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import index, mul
+from operator import add, index, mul
 
 from .errors import (
     CapacityError,
@@ -47,7 +47,7 @@ SEARCH_CANDIDATE_LIMIT = 10**5
 
 def _residues(orders, vec):
     """vec reduced by its generator orders: x mod t, or x itself when t = 0."""
-    return tuple(x % t if t else x for t, x in zip(orders, vec))
+    return tuple([x % t if t else x for t, x in zip(orders, vec)])
 
 
 def _ill_defined_at(t, vec, orders):
@@ -248,13 +248,14 @@ def check_g_preservation(phi: ModuleHom):
 
     Returns (mismatches, undecided): mismatches are (key, got, want)
     triples, undecided are domain keys whose image is not queried in the
-    codomain table.
+    codomain table.  Domain keys are read as stored: decorated_module
+    has already made each one canonical, so only the image is reduced.
     """
     mism = []
     undecided = []
-    table2 = phi.codomain.gvalues
+    orders2, table2 = phi.codomain.orders, phi.codomain.gvalues
     for key, val in sorted(phi.domain.gvalues.items()):
-        img = phi.apply(key)
+        img = _residues(orders2, phi.matrix.apply(key))
         if img in table2:
             if table2[img] != val:
                 mism.append((key, table2[img], val))
@@ -463,8 +464,8 @@ def split_preserving_g_on_a(phi: ModuleHom, s1: SplitModule,
 # bounded isometry search
 
 
-def _norm_buckets(codomain: DecoratedModule, bound: int, order: int):
-    """Candidate columns grouped by norm: norm -> [(c, c^T Q), ...].
+def _norm_buckets(codomain: DecoratedModule, bound: int, order: int, norms):
+    """Candidate columns whose norm is in norms: norm -> [(c, c^T Q), ...].
 
     Candidates are the c with entries in [-bound, bound] that are
     well-defined images of a generator of the given order (t*c is zero
@@ -472,46 +473,60 @@ def _norm_buckets(codomain: DecoratedModule, bound: int, order: int):
     then lexicographic: witnesses tend to be near-permutations.  A
     coordinate of order u keeps the first value of each class mod u in
     (|x|, x) order, so distinct candidates are distinct columns.  c^T Q
-    is Q c, as decorated_module makes Q symmetric.
+    is the sum of c_i Q_i over the rows of Q (decorated_module makes Q
+    symmetric), built one coordinate at a time, so each candidate costs
+    one vector addition; only the candidates with a norm in norms are
+    kept and sorted.
     """
     span = sorted(range(-bound, bound + 1), key=abs)
     coords = [[x for i, x in enumerate(span)
                if _ill_defined_at(order, (x,), (u,)) is None
                and (not u or all((x - y) % u for y in span[:i]))]
               for u in codomain.orders]
+    partial = [(0, (), (0,) * codomain.ngens)]
+    for xs, qrow in zip(coords, codomain.form.entries):
+        steps = [(abs(x), x, tuple([x * q for q in qrow])) for x in xs]
+        partial = [(l1 + ax, c + (x,), tuple(map(add, cq, xq)))
+                   for l1, c, cq in partial for ax, x, xq in steps]
+    kept = []
+    for l1, c, cq in partial:
+        norm = sum(map(mul, cq, c))
+        if norm in norms:
+            kept.append((l1, c, norm, cq))
+    kept.sort()
     buckets = {}
-    for c in sorted(itertools.product(*coords),
-                    key=lambda c: (sum(map(abs, c)), c)):
-        cq = codomain.form.apply(c)
-        buckets.setdefault(sum(map(mul, cq, c)), []).append((c, cq))
+    for _, c, norm, cq in kept:
+        buckets.setdefault(norm, []).append((c, cq))
     return buckets
 
 
 def _classes_by_level(d1: DecoratedModule):
     """Tabulated classes of d1 grouped by their highest nonzero coordinate.
 
-    Level j holds (nonzero (index, coefficient) pairs, value) for every
-    class whose image is fixed once column j is chosen.  The zero class
-    has no level.  Table keys are read as stored: decorated_module has
-    already made each one canonical.
+    Level j holds (key[:j], key[j], value) for every class whose image
+    is fixed once column j is chosen.  The zero class has no level.
+    Table keys are read as stored: decorated_module has already made
+    each one canonical.
     """
     levels = [[] for _ in range(d1.ngens)]
     for key, val in d1.gvalues.items():
-        terms = [(i, a) for i, a in enumerate(key) if a]
-        if terms:
-            levels[terms[-1][0]].append((terms, val))
+        nonzero = [i for i, a in enumerate(key) if a]
+        if nonzero:
+            j = nonzero[-1]
+            levels[j].append((key[:j], key[j], val))
     return levels
 
 
-def _values_clash(classes, cols, d2: DecoratedModule) -> bool:
-    """True iff some class maps to a class tabulated with another value."""
-    table2 = d2.gvalues
-    for terms, val in classes:
-        img = [0] * d2.ngens
-        for i, a in terms:
-            for r, x in enumerate(cols[i]):
-                img[r] += a * x
-        got = table2.get(_residues(d2.orders, img))
+def _values_clash(parts, c, d2: DecoratedModule) -> bool:
+    """True iff some class maps to a class tabulated with another value.
+
+    parts holds (image of key[:j], key[j], value) for each class of the
+    level j being chosen, so with column c its image is that image plus
+    key[j] * c.
+    """
+    orders2, table2 = d2.orders, d2.gvalues
+    for base, a, val in parts:
+        got = table2.get(_residues(orders2, [y + a * x for y, x in zip(base, c)]))
         if got is not None and got != val:
             return True
     return False
@@ -522,9 +537,10 @@ def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int, *,
     """Yield form-preserving isomorphisms with matrix entries in [-bound, bound].
 
     Exhaustive column backtracking.  Candidate columns are bucketed by
-    norm, so column j only tries images c with Q2(c, c) = Q1[j][j], and
-    each off-diagonal Gram constraint against an earlier column is one
-    dot product with the precomputed c^T Q2.  Within a bucket the order
+    norm, only for the norms Q1[j][j] the search reads, so column j only
+    tries images c with Q2(c, c) = Q1[j][j], and each off-diagonal Gram
+    constraint against an earlier column is one dot product with the
+    precomputed c^T Q2.  Within a bucket the order
     is by L1 norm, then lexicographic, so the yield order is fixed.
     Torsion coordinates take one value per residue class, so each
     homomorphism is reached, and yielded, at most once.
@@ -532,8 +548,9 @@ def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int, *,
     With match_values=True a branch is cut as soon as a tabulated class
     of d1 maps to a class tabulated in d2 with a different value (the
     class is mapped once the column of its highest nonzero coordinate
-    is fixed).  The isometries still yielded are exactly those without
-    such a mismatch, in the same order.
+    j is fixed: each node at column j maps the class's coordinates below
+    j once, and each candidate adds its own term).  The isometries still
+    yielded are exactly those without such a mismatch, in the same order.
 
     Raises CapacityError, before building anything, when a module has
     more than SEARCH_RANK_LIMIT generators or the (2*bound + 1)^n2
@@ -561,7 +578,9 @@ def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int, *,
             return
         levels = _classes_by_level(d1)
     q1 = d1.form.entries
-    buckets = {t: _norm_buckets(d2, bound, t) for t in set(d1.orders)}
+    buckets = {t: _norm_buckets(d2, bound, t, {q1[j][j] for j in range(n1)
+                                               if d1.orders[j] == t})
+               for t in set(d1.orders)}
     # For symmetric forms the Gram checks give M^T Q2 M = Q1, so
     # det(M)^2 = 1 when det Q1 = det Q2 != 0 and there is no torsion.
     check_iso = not (n1 == n2 and d1.is_torsion_free and d2.is_torsion_free
@@ -575,12 +594,16 @@ def iter_isometries(d1: DecoratedModule, d2: DecoratedModule, bound: int, *,
                 yield hom
             return
         row = q1[j]
+        # the images of the level-j classes under the columns already fixed
+        fixed = list(zip(*cols[:j])) if j else [()] * n2
+        parts = [([sum(map(mul, head, r)) for r in fixed], a, val)
+                 for head, a, val in levels[j]]
         for c, cq in buckets[d1.orders[j]].get(row[j], ()):
             if any(sum(map(mul, cq, cols[i])) != row[i] for i in range(j)):
                 continue
-            cols[j] = c
-            if levels[j] and _values_clash(levels[j], cols, d2):
+            if parts and _values_clash(parts, c, d2):
                 continue
+            cols[j] = c
             yield from walk(j + 1)
         cols[j] = None
 

@@ -68,6 +68,15 @@ class IntMatrix:
         return cls(rows, cols)
 
     @classmethod
+    def _unchecked(cls, rows, cols) -> "IntMatrix":
+        """A matrix of rows that are already int tuples of length cols,
+        built without __post_init__'s checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "cols", cols)
+        return m
+
+    @classmethod
     def from_diagonal(cls, values) -> "IntMatrix":
         """The square matrix with the given diagonal and zeros elsewhere."""
         values = tuple(values)
@@ -102,7 +111,7 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         cols = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return IntMatrix.from_rows(cols, cols=self.rows)
+        return IntMatrix._unchecked(cols, self.rows)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         r1, c1 = self.shape()
@@ -110,8 +119,9 @@ class IntMatrix:
         if c1 != r2:
             raise DimensionError(f"cannot multiply {r1}x{c1} by {r2}x{c2}")
         cols = other.transpose().entries
-        out = [[sum(map(mul, row, col)) for col in cols] for row in self.entries]
-        return IntMatrix.from_rows(out, cols=c2)
+        out = tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                     for row in self.entries])
+        return IntMatrix._unchecked(out, c2)
 
     def apply(self, vec):
         """Matrix-vector product with an integer vector, as a tuple."""
@@ -281,13 +291,6 @@ def _row_sub(a, rops, t, i, j, q):
     rops.append((i, j, q))
 
 
-def _col_sub(a, ops, t, i, j, q):
-    # col_i -= q * col_j, on rows >= t
-    for row in a[t:]:
-        row[i] -= q * row[j]
-    ops.append((i, j, q))
-
-
 def _eliminate(a, rops, ops):
     """Reduce a, a list of row lists, in place to its Smith form.
 
@@ -334,12 +337,14 @@ def _eliminate(a, rops, ops):
                     break
             if restart:
                 continue
-            # clear the pivot row
+            # clear the pivot row; column t is zero below the pivot, so
+            # col_j -= q * col_t changes a[t][j] alone
             for j in range(t + 1, cols):
                 if a[t][j] == 0:
                     continue
                 q, r = divmod(a[t][j], a[t][t])
-                _col_sub(a, ops, t, j, t, q)
+                a[t][j] = r
+                ops.append((j, t, q))
                 if r != 0:
                     _swap_cols(a, ops, t, t, j)
                     restart = True
@@ -347,7 +352,9 @@ def _eliminate(a, rops, ops):
             if restart:
                 continue
             # force the divisibility chain: fold any offending row into the
-            # pivot row and keep reducing
+            # pivot row and keep reducing; a +-1 pivot divides everything
+            if abs(a[t][t]) == 1:
+                break
             offender = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):

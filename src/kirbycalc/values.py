@@ -54,6 +54,8 @@ class OrderedValue:
         return (self._kind, self._n)
 
     def __eq__(self, other):
+        if isinstance(other, OrderedValue):
+            return self._kind == other._kind and self._n == other._n
         try:
             other = OrderedValue.of(other)
         except TypeError:

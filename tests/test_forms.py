@@ -390,6 +390,51 @@ def _thinned(rng, d, keep=0.7, flips=0):
     return decorated_module(d.orders, d.form, table)
 
 
+def _reference_g_check(phi):
+    """check_g_preservation as it read every key: through phi.apply, which
+    reduces the domain key and the image."""
+    mism, undecided = [], []
+    table2 = phi.codomain.gvalues
+    for key, val in sorted(phi.domain.gvalues.items()):
+        img = phi.apply(key)
+        if img not in table2:
+            undecided.append(key)
+        elif table2[img] != val:
+            mism.append((key, table2[img], val))
+    return tuple(mism), tuple(undecided)
+
+
+def test_g_check_matches_a_reference_through_phi_apply():
+    rng = random.Random(1509)
+    homs = mismatched = undecided = 0
+    for _ in range(80):
+        if rng.random() < 0.5:
+            d1 = rand_decorated(rng, rank=rng.randint(1, 2), max_entry=2,
+                                radius=1, torsion=rng.random() < 0.5)
+        else:
+            torsion = [rng.choice((2, 3, 4)) for _ in range(rng.randint(1, 2))]
+            orders = [0] * rng.randint(0, 3 - len(torsion)) + torsion
+            rng.shuffle(orders)
+            d1 = _rand_codomain(rng, tuple(orders))
+            d1 = decorated_module(d1.orders, d1.form, {
+                canonical_key(d1.orders, [rng.randint(-2, 2) for _ in orders]):
+                rng.randint(0, 2) for _ in range(12)})
+        d2 = equivalent_copy(rng, d1)
+        d1 = _thinned(rng, d1, keep=rng.choice((1.0, 0.8)))
+        d2 = _thinned(rng, d2, keep=rng.choice((1.0, 0.7)),
+                      flips=rng.choice((0, 1, 2)))
+        bound = 2 if d1.ngens <= 2 else 1
+        for hom in itertools.islice(iter_isometries(d1, d2, bound), 20):
+            got = check_g_preservation(hom)
+            assert got == _reference_g_check(hom), (d1, d2, hom.matrix)
+            homs += 1
+            mismatched += bool(got[0])
+            undecided += bool(got[1])
+    # the sample covers non-empty mismatch and undecided lists
+    assert homs > 500 and mismatched > 200 and undecided > 200, (
+        homs, mismatched, undecided)
+
+
 def test_value_pruning_matches_unpruned_reference():
     rng = random.Random(89)
     outcomes = set()
@@ -539,10 +584,15 @@ def test_norm_buckets_match_the_filtered_scan():
         d = _rand_codomain(rng)
         for bound in (1, 2):
             for order in (0, 2, 3, 4, 6):
-                got = _norm_buckets(d, bound, order)
                 want = _reference_buckets(d, bound, order)
+                got = _norm_buckets(d, bound, order, set(want))
                 assert list(got.items()) == list(want.items()), (
                     d.orders, d.form.entries, bound, order)
+                norms = set(rng.sample(sorted(want), rng.randrange(len(want))))
+                got = _norm_buckets(d, bound, order, norms)
+                assert list(got.items()) == [
+                    (k, v) for k, v in want.items() if k in norms], (
+                    d.orders, d.form.entries, bound, order, norms)
 
 
 def test_module_hom_error_messages():

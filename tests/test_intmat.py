@@ -387,6 +387,14 @@ def test_apply_rejects_a_non_integral_vector():
             m.apply(bad)
 
 
+def _same_value(got, twin):
+    """got equals and hashes like twin, and holds tuples of int tuples."""
+    assert got == twin and hash(got) == hash(twin)
+    assert type(got.entries) is tuple
+    assert all(type(row) is tuple and all(type(x) is int for x in row)
+               for row in got.entries)
+
+
 def test_mul_and_transpose_match_plain_loops():
     rng = random.Random(1208)
     shapes = [(r, k, c) for r in range(4) for k in range(4) for c in range(4)]
@@ -397,10 +405,14 @@ def test_mul_and_transpose_match_plain_loops():
             for j in range(c):
                 for t in range(k):
                     want[i][j] += a[i, t] * b[t, j]
-        assert a.mul(b) == IntMatrix.from_rows(want, cols=c), (r, k, c)
-        assert b.transpose() == IntMatrix.from_rows(
-            [[b[t, j] for t in range(k)] for j in range(c)], cols=k), (k, c)
+        _same_value(a.mul(b), IntMatrix.from_rows(want, cols=c))
+        _same_value(b.transpose(), IntMatrix.from_rows(
+            [[b[t, j] for t in range(k)] for j in range(c)], cols=k))
     assert IntMatrix.zeros(3, 0).mul(IntMatrix.zeros(0, 2)) == IntMatrix.zeros(3, 2)
+    for r, c in ((3, 0), (0, 2)):
+        _same_value(IntMatrix.zeros(r, c).transpose(), IntMatrix.zeros(c, r))
+        _same_value(IntMatrix.zeros(r, c).mul(IntMatrix.zeros(c, r)),
+                    IntMatrix.zeros(r, r))
     with pytest.raises(DimensionError):
         IntMatrix.zeros(2, 3).mul(IntMatrix.zeros(2, 3))
 

@@ -11,6 +11,15 @@ def test_finite_values_hash_like_their_int():
         assert n in {v} and v in {n}
     assert len({OrderedValue.of(3), 3}) == 1
     assert len({NEG_INF, POS_INF, OrderedValue.of(0), 0}) == 3
+    values = (NEG_INF, OrderedValue.of(-1), OrderedValue.of(0),
+              OrderedValue.of(2**70), POS_INF)
+    for a in values:
+        for b in values:
+            twin = OrderedValue.parse(str(b))
+            assert (a == twin) == (a is b) and (a != twin) == (a is not b)
+        for other in (True, False, 0.0, -1.0, float("inf"), float("-inf"),
+                      "0", "inf", "-inf"):
+            assert a != other and not (a == other)
 
 
 def test_finite_value_must_be_integral():
