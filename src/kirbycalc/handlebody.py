@@ -11,7 +11,11 @@ Homology is read off exactly: with A the k x n run-over matrix,
 H_1 = coker A, H_2 = ker A (saturated), the intersection form is the
 linking matrix restricted to the kernel, and H_1 of the boundary is the
 cokernel of the surgery block matrix [[0, A], [A^T, linking]] obtained
-by trading every dot for a 0-framed circle.
+by trading every dot for a 0-framed circle.  homology() reads all four
+from one Smith elimination U A V = D: the block is congruent to
+[[0, D], [D^T, V^T linking V]], each unit divisor splits off a
+unimodular summand, and boundary H_1 is the cokernel of what is left
+(Gompf-Stipsicz, 4-Manifolds and Kirby Calculus, 5.3).
 
 The diagram modifications implemented here (the tb-raising and
 tb-neutral moves that insert a homotopically canceling handle pair, the
@@ -31,7 +35,8 @@ from .forms import isometry_exists
 from .intmat import (
     FgAbelianGroup,
     IntMatrix,
-    _kernel_and_cokernel,
+    _column_smith,
+    _replayed,
     block_diag,
     cokernel,
 )
@@ -135,15 +140,11 @@ def boundary_block_matrix(h: Handlebody2) -> IntMatrix:
     Dotted circles become 0-framed circles: the block is
     [[0, A], [A^T, linking]] of size (k + n) x (k + n).
     """
-    return _boundary_block(run_over_matrix(h), h.linking)
-
-
-def _boundary_block(a: IntMatrix, linking: IntMatrix) -> IntMatrix:
-    k, n = a.shape()
+    a = run_over_matrix(h)
     return IntMatrix.from_rows(
-        [(0,) * k + row for row in a.entries]
-        + [col + row for col, row in zip(a.transpose().entries, linking.entries)],
-        cols=k + n)
+        [(0,) * h.k + row for row in a.entries]
+        + [col + row for col, row in zip(a.transpose().entries, h.linking.entries)],
+        cols=h.k + h.n)
 
 
 @dataclass(frozen=True)
@@ -156,15 +157,36 @@ class HomologyProfile:
 
 
 def homology(h: Handlebody2) -> HomologyProfile:
-    a = run_over_matrix(h)
-    basis, h1 = _kernel_and_cokernel(a)
-    form = basis.transpose().mul(h.linking).mul(basis)
+    """H_1, H_2, the form and boundary H_1, all from one Smith elimination
+    of the run-over matrix A.
+
+    With U A V = D, the congruence diag(U, V^T) turns the boundary block
+    into [[0, D], [D^T, V^T L V]], and each unit divisor of D splits off a
+    unimodular [[0, 1], [1, 0]] summand.  So only V_J, the columns of V
+    past the u unit divisors, is built; L~ = V_J^T L V_J is the linking
+    matrix in that basis, boundary H_1 is the cokernel of
+    [[0, D'], [D'^T, L~]] for D' the (k - u) x (n - u) diagonal of the
+    non-unit divisors, and the kernel columns of V, the trailing columns
+    of V_J, carry the intersection form as L~'s trailing corner.
+    """
+    diag, ops, h1 = _column_smith(run_over_matrix(h))
+    units = diag.count(1)
+    rank = sum(1 for d in diag if d != 0)
+    vjt = _replayed(ops, h.n, units)
+    vj = vjt.transpose()
+    lt = vjt.mul(h.linking).mul(vj)
+    m, r, size = h.k - units, rank - units, h.n - units
+    block = [[0] * (m + size) for _ in range(m)]
+    block += [[0] * m + list(row) for row in lt.entries]
+    for i, d in enumerate(diag[units:]):
+        block[i][m + i] = block[m + i][i] = d
     return HomologyProfile(
         h1=h1,
-        h2_rank=basis.shape()[1],
-        h2_basis=basis,
-        intersection_form=form,
-        boundary_h1=cokernel(_boundary_block(a, h.linking)),
+        h2_rank=size - r,
+        h2_basis=IntMatrix._unchecked(tuple(row[r:] for row in vj.entries), size - r),
+        intersection_form=IntMatrix._unchecked(
+            tuple(row[r:] for row in lt.entries[r:]), size - r),
+        boundary_h1=cokernel(IntMatrix.from_rows(block, cols=m + size)),
     )
 
 
@@ -198,29 +220,35 @@ def mazur_cork_template(r: int, s: int, m: int) -> Handlebody2:
     return handlebody(1, [(tuple(word), 0)])
 
 
-def _insert_pair(h: Handlebody2, target: int | None, p: int,
-                 new_front: FrontCounts | None) -> Handlebody2:
-    """Common engine of the canceling-pair insertions.
+#: front of the 2-handle that w_plus inserts (tb = +2, rotation 0)
+W_PLUS_FRONT = FrontCounts(writhe=3, right_cusps=1, up_cusps=1, down_cusps=1)
 
-    Adds dotted handle g = k + 1 and a 0-framed 2-handle with word (+g)
-    and front new_front; the target word (when given) gains the
-    net-zero subword (+g, -g) repeated p times at its end, and, when a
-    new front is given, the target's tb rises by p.  The new handle is
-    unlinked, so the homology profile is untouched.
+
+def _insert_pairs(h: Handlebody2, pairs, new_front: FrontCounts | None) -> Handlebody2:
+    """Common engine of the canceling-pair insertions, built once.
+
+    pairs lists (target, p) in order.  The i-th adds dotted handle
+    g = k + i and a 0-framed 2-handle with word (+g) and front
+    new_front; the target word (when not None) gains the net-zero
+    subword (+g, -g) repeated p times at its end, and, when a new front
+    is given, the target's tb rises by p.  The new handles are unlinked,
+    so the homology profile is untouched.  Each pair adds one
+    canceling-pairs tag.
     """
-    g = h.k + 1
     handles = list(h.two_handles)
-    if target is not None:
-        if not 0 <= target < h.n:
-            raise PreconditionError(f"no 2-handle with index {target}")
-        th = handles[target]
-        front = th.front
-        if new_front is not None and front is not None:
-            front = replace(front, writhe=front.writhe + p)
-        handles[target] = replace(th, word=th.word + (g, -g) * p, front=front)
-    handles.append(TwoHandle(word=(g,), framing=0, front=new_front))
-    return handlebody(g, handles, block_diag(h.linking, IntMatrix.zeros(1, 1)),
-                      cert_tags=h.cert_tags + (TAG_CANCELING_PAIRS,))
+    for g, (target, p) in enumerate(pairs, start=h.k + 1):
+        if target is not None:
+            if not 0 <= target < h.n:
+                raise PreconditionError(f"no 2-handle with index {target}")
+            th = handles[target]
+            front = th.front
+            if new_front is not None and front is not None:
+                front = replace(front, writhe=front.writhe + p)
+            handles[target] = replace(th, word=th.word + (g, -g) * p, front=front)
+        handles.append(TwoHandle(word=(g,), framing=0, front=new_front))
+    c = len(pairs)
+    return handlebody(h.k + c, handles, block_diag(h.linking, IntMatrix.zeros(c, c)),
+                      cert_tags=h.cert_tags + (TAG_CANCELING_PAIRS,) * c)
 
 
 def w_minus(h: Handlebody2, target: int, p: int) -> Handlebody2:
@@ -232,7 +260,7 @@ def w_minus(h: Handlebody2, target: int, p: int) -> Handlebody2:
     """
     if p < 1:
         raise PreconditionError("p must be >= 1")
-    return _insert_pair(h, target, p, None)
+    return _insert_pairs(h, [(target, p)], None)
 
 
 def w_plus(h: Handlebody2, target: int, p: int) -> Handlebody2:
@@ -241,14 +269,13 @@ def w_plus(h: Handlebody2, target: int, p: int) -> Handlebody2:
     Handle-structure effect identical to the tb-neutral move (the two
     results are homeomorphic models related by a cork twist), but the
     Legendrian bookkeeping changes: the target's Thurston-Bennequin
-    number increases by p, and the new 2-handle carries a front with
-    tb = +2.  Its rotation number is left at 0, a convention rather
-    than a forced value.  No framing changes.
+    number increases by p, and the new 2-handle carries W_PLUS_FRONT,
+    with tb = +2.  Its rotation number is left at 0, a convention
+    rather than a forced value.  No framing changes.
     """
     if p < 1:
         raise PreconditionError("p must be >= 1")
-    new_front = FrontCounts(writhe=3, right_cusps=1, up_cusps=1, down_cusps=1)
-    return _insert_pair(h, target, p, new_front)
+    return _insert_pairs(h, [(target, p)], W_PLUS_FRONT)
 
 
 def replace_front(h: Handlebody2, target: int, front: FrontCounts) -> Handlebody2:
@@ -290,10 +317,7 @@ def attach_canceling_pairs(h: Handlebody2, count: int) -> Handlebody2:
     """
     if count < 0:
         raise PreconditionError("count must be non-negative")
-    out = h
-    for _ in range(count):
-        out = _insert_pair(out, None, 0, None)
-    return out
+    return _insert_pairs(h, [(None, 0)] * count, None)
 
 
 def _shift_word(word, offset):

@@ -555,12 +555,19 @@ def cokernel_and_determinant(m: IntMatrix):
     return _group(m.rows, _eliminate(rest, [], []), pivots), det
 
 
-def _kernel_and_cokernel(m: IntMatrix):
-    """(kernel_basis(m), cokernel(m)) from one elimination."""
+def _column_smith(m: IntMatrix):
+    """(diagonal, column operations, cokernel(m)) from one Smith
+    elimination of m that keeps no row operations."""
     ops = []
     diag = _eliminate([list(r) for r in m.entries], [], ops)
+    return diag, ops, _group(m.rows, diag)
+
+
+def _kernel_and_cokernel(m: IntMatrix):
+    """(kernel_basis(m), cokernel(m)) from one elimination."""
+    diag, ops, group = _column_smith(m)
     rank = sum(1 for d in diag if d != 0)
-    return _replayed(ops, m.cols, rank).transpose(), _group(m.rows, diag)
+    return _replayed(ops, m.cols, rank).transpose(), group
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

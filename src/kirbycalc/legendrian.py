@@ -10,7 +10,7 @@ decorated handlebody to that condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import index
 
 from .errors import PreconditionError
@@ -69,6 +69,16 @@ def stabilize(f: FrontCounts, sign: int) -> FrontCounts:
     )
 
 
+def _stabilized(f: FrontCounts, count: int) -> FrontCounts:
+    """count zig-zags with alternating signs, starting positive (keeping
+    the rotation number small)."""
+    sign = 1
+    for _ in range(count):
+        f = stabilize(f, sign)
+        sign = -sign
+    return f
+
+
 def steinify(h):
     """Rework a Legendrian handlebody so every framing equals tb - 1.
 
@@ -81,31 +91,29 @@ def steinify(h):
 
     The tb-raising move never changes any framing; the fresh 2-handle
     it introduces (framing 0, tb = +2, rotation left at 0) is
-    processed by the same rule.  The homology profile of the result is
-    isomorphic to the input's, and the operation is idempotent.
+    processed by the same rule, which stabilizes it once.  The homology
+    profile of the result is isomorphic to the input's, and the
+    operation is idempotent.  All raising moves are collected first and
+    the result is built once, as the same sequence of w_plus moves
+    would build it.
 
     Every 2-handle must already carry front data.
     """
-    from .handlebody import replace_front, w_plus
+    from .handlebody import W_PLUS_FRONT, _insert_pairs
 
     for idx, th in enumerate(h.two_handles):
         if th.front is None:
             raise PreconditionError(f"2-handle {idx} carries no front data")
 
-    current = h
-    i = 0
-    while i < len(current.two_handles):
-        th = current.two_handles[i]
+    handles = []
+    raises = []
+    for i, th in enumerate(h.two_handles):
         t = thurston_bennequin(th.front)
-        f = th.framing
-        if f <= t - 1:
-            front = th.front
-            sign = 1
-            for _ in range(t - 1 - f):
-                front = stabilize(front, sign)
-                sign = -sign
-            current = replace_front(current, i, front)
+        if th.framing <= t - 1:
+            th = replace(th, front=_stabilized(th.front, t - 1 - th.framing))
         else:
-            current = w_plus(current, i, f - t + 1)
-        i += 1
-    return current
+            raises.append((i, th.framing - t + 1))
+        handles.append(th)
+    # framing 0 <= tb - 1 = 1: the fresh front takes the stabilizing rule
+    fresh = _stabilized(W_PLUS_FRONT, thurston_bennequin(W_PLUS_FRONT) - 1)
+    return _insert_pairs(replace(h, two_handles=tuple(handles)), raises, fresh)

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from .errors import FormatError, KirbyCalcError
 from .forms import DecoratedModule, decorated_module
 from .genus import DiskBundleTable, disk_bundle_table
-from .handlebody import Handlebody2, TwoHandle, handlebody
+from .handlebody import Handlebody2, TwoHandle
 from .intmat import IntMatrix
 from .legendrian import FrontCounts
 from .values import OrderedValue, integer
@@ -22,6 +22,15 @@ HANDLEBODY_HEADER = "handlebody v1"
 MODULE_HEADER = "module v1"
 
 _TOKEN = re.compile(r"\S+")
+#: an integer as values.integer reads it: an optional `-` and ASCII
+#: digits (`\d` would also take the digits of other scripts)
+_INT = r"-?[0-9]+"
+#: integer tokens joined by blanks
+_INTEGERS = re.compile(f"{_INT}(?: {_INT})*")
+_FRONT_FIELDS = ("writhe", "right", "up", "down")
+#: the tokens after the kind of a well-formed record, joined by blanks
+_TWO_HANDLE = re.compile(f"({_INT}) word=({_INT})?((?: {_INT})*) framing=({_INT})")
+_FRONT = re.compile(f"({_INT}) " + " ".join(f"{name}=({_INT})" for name in _FRONT_FIELDS))
 
 
 class _Record:
@@ -102,9 +111,13 @@ def _symmetric_entry(rec, entries, id_what, value_what, conflict):
     """
     if len(rec.toks) != 4:
         raise rec.error(f"{rec.kind} takes ids i j and a value")
-    i = rec.integer(1, id_what)
-    j = rec.integer(2, id_what)
-    v = rec.integer(3, value_what)
+    texts = rec.toks[1:]
+    if _INTEGERS.fullmatch(" ".join(texts)):
+        i, j, v = map(int, texts)
+    else:
+        i = rec.integer(1, id_what)
+        j = rec.integer(2, id_what)
+        v = rec.integer(3, value_what)
     key = (min(i, j), max(i, j))
     if key in entries and entries[key][0] != v:
         raise rec.error(f"conflicting {conflict} {key}")
@@ -139,16 +152,68 @@ def render_handlebody(h: Handlebody2) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _two_handle(rec, seen):
+    """A two_handle record's id, word, framing and the token of word[0].
+
+    A well-formed record with a new id passes one fullmatch; any other
+    is walked token by token, in reading order, and raises at its first
+    fault."""
+    toks = rec.toks
+    if len(toks) < 4:
+        raise rec.error("malformed two_handle line")
+    m = _TWO_HANDLE.fullmatch(" ".join(toks[1:]))
+    if m:
+        hid, head, rest, framing = m.groups()
+        hid = int(hid)
+        if hid not in seen:
+            word = ([head] if head else []) + rest.split()
+            return hid, tuple(map(int, word)), int(framing), 3 - bool(head)
+    i = 3
+    while i < len(toks) and not toks[i].startswith("framing="):
+        i += 1
+    hid = rec.integer(1, "2-handle id")
+    if hid in seen:
+        raise rec.error(f"duplicate 2-handle id {hid}", 1)
+    for k in range(2 if rec.field(2, "word") else 3, i):
+        rec.integer(k, "word letter", "word" if k == 2 else None)
+    if i == len(toks):
+        raise rec.error("missing framing=<int>")
+    rec.integer(i, name="framing")
+    raise rec.error("trailing tokens after framing", i + 1)
+
+
+def _front(rec, seen):
+    """A front record's id and FrontCounts, read like _two_handle."""
+    toks = rec.toks
+    if len(toks) != 6:
+        raise rec.error("malformed front line")
+    m = _FRONT.fullmatch(" ".join(toks[1:]))
+    if m:
+        hid, *counts = map(int, m.groups())
+    if not m or hid in seen:
+        hid = rec.integer(1, "2-handle id")
+        if hid in seen:
+            raise rec.error(f"duplicate front for 2-handle {hid}", 1)
+        counts = [rec.integer(k, name=name)
+                  for k, name in enumerate(_FRONT_FIELDS, start=2)]
+    with _errors_at(rec):
+        return hid, FrontCounts(*counts)
+
+
 def parse_handlebody(text: str) -> Handlebody2:
+    """The handlebody of a `handlebody v1` file.
+
+    The reader checks everything handlebody() would (letter ranges, the
+    linking diagonal, symmetry by construction), so it builds the value
+    directly."""
     records = _records(text, HANDLEBODY_HEADER)
     one_handles = None
     raw_handles = {}   # id -> (word, framing, record, token of word[0])
     raw_links = {}     # (i, j) normalized -> (value, lineno)
     raw_fronts = {}    # id -> (FrontCounts, record)
     for rec in records:
-        toks = rec.toks
         if rec.kind == "one_handles":
-            if len(toks) != 2:
+            if len(rec.toks) != 2:
                 raise rec.error("one_handles takes one count")
             if one_handles is not None:
                 raise rec.error("duplicate one_handles line")
@@ -156,37 +221,14 @@ def parse_handlebody(text: str) -> Handlebody2:
             if one_handles < 0:
                 raise rec.error("one_handles must be non-negative", 1)
         elif rec.kind == "two_handle":
-            if len(toks) < 4:
-                raise rec.error("malformed two_handle line")
-            hid = rec.integer(1, "2-handle id")
-            if hid in raw_handles:
-                raise rec.error(f"duplicate 2-handle id {hid}", 1)
-            word = []
-            if rec.field(2, "word"):
-                word.append(rec.integer(2, "word letter", "word"))
-            i = 3
-            while i < len(toks) and not toks[i].startswith("framing="):
-                word.append(rec.integer(i, "word letter"))
-                i += 1
-            if i == len(toks):
-                raise rec.error("missing framing=<int>")
-            framing = rec.integer(i, name="framing")
-            if i + 1 != len(toks):
-                raise rec.error("trailing tokens after framing", i + 1)
-            raw_handles[hid] = (tuple(word), framing, rec, i - len(word))
+            hid, word, framing, first = _two_handle(rec, raw_handles)
+            raw_handles[hid] = (word, framing, rec, first)
         elif rec.kind == "linking":
             _symmetric_entry(rec, raw_links, "2-handle id", "linking number",
                              "linking values for pair")
         elif rec.kind == "front":
-            if len(toks) != 6:
-                raise rec.error("malformed front line")
-            hid = rec.integer(1, "2-handle id")
-            if hid in raw_fronts:
-                raise rec.error(f"duplicate front for 2-handle {hid}", 1)
-            counts = [rec.integer(k, name=name) for k, name
-                      in enumerate(("writhe", "right", "up", "down"), start=2)]
-            with _errors_at(rec):
-                raw_fronts[hid] = (FrontCounts(*counts), rec)
+            hid, front = _front(rec, raw_fronts)
+            raw_fronts[hid] = (front, rec)
         else:
             raise rec.error(f"unknown line kind {rec.kind!r}")
     if one_handles is None:
@@ -199,8 +241,9 @@ def parse_handlebody(text: str) -> Handlebody2:
         hid = min(raw_fronts)
         raise raw_fronts[hid][1].error(f"front for unknown 2-handle {hid}", 1)
     n = len(handles)
-    linking = [[th.framing if i == j else 0 for j in range(n)]
-               for i, th in enumerate(handles)]
+    linking = [[0] * n for _ in range(n)]
+    for i, th in enumerate(handles):
+        linking[i][i] = th.framing
     for (i, j), (v, lineno) in raw_links.items():
         for hid in (i, j):
             if hid not in index_of:
@@ -218,9 +261,8 @@ def parse_handlebody(text: str) -> Handlebody2:
             if letter == 0 or abs(letter) > one_handles:
                 raise rec.error(
                     f"2-handle {hid} runs over unknown 1-handle {letter}", k)
-    with _errors_at():
-        return handlebody(one_handles, handles,
-                          IntMatrix.from_rows(linking, cols=n))
+    return Handlebody2(one_handles, tuple(handles),
+                       IntMatrix._unchecked(tuple(map(tuple, linking)), n))
 
 
 # ---------------------------------------------------------------------------

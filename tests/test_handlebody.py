@@ -4,6 +4,7 @@ import pytest
 
 from kirbycalc.errors import PreconditionError
 from kirbycalc.handlebody import (
+    TAG_CANCELING_PAIRS,
     TAG_SLICE_TWO_HANDLES,
     TwoHandle,
     attach_canceling_pairs,
@@ -26,11 +27,14 @@ from kirbycalc.handlebody import (
 from kirbycalc.intmat import (
     FgAbelianGroup,
     IntMatrix,
+    _eliminate,
+    block_diag,
     cokernel,
     determinant,
     kernel_basis,
 )
 from kirbycalc.legendrian import UNKNOT_FRONT, thurston_bennequin
+from kirbycalc.textio import render_handlebody
 
 from .gens import rand_handlebody, rand_moved_handlebody
 
@@ -101,6 +105,79 @@ def test_homology_reads_each_group_from_its_own_matrix():
         assert p.h1 == cokernel(a)
         assert p.h2_basis == kernel_basis(a)
         assert p.boundary_h1 == cokernel(boundary_block_matrix(h))
+
+
+def _doubled(h):
+    """h with every word written twice: each exponent sum doubles, so A
+    has no unit divisor."""
+    return handlebody(h.k, [(th.word * 2, th.framing) for th in h.two_handles],
+                      h.linking)
+
+
+def _cork_sum(rng):
+    out = mazur_cork_template(*(rng.randint(1, 3) for _ in range(3)))
+    for _ in range(rng.randint(0, 3)):
+        out = boundary_sum(out, mazur_cork_template(*(rng.randint(1, 3) for _ in range(3))))
+    return attach_canceling_pairs(out, rng.randint(0, 2))
+
+
+def _homology_cases(rng, count):
+    """count handlebodies: moved ones, cork sums, k = 0, n = 0, and A
+    with only unit or no unit divisors, in turn."""
+    makers = (
+        lambda: rand_moved_handlebody(rng),
+        lambda: rand_moved_handlebody(rng, max_k=6, max_n=6, max_pairs=2),
+        lambda: _cork_sum(rng),
+        lambda: rand_handlebody(rng, max_k=0, max_n=5),
+        lambda: handlebody(rng.randint(0, 5)),
+        lambda: _doubled(rand_handlebody(rng, max_k=4, max_n=5, min_n=1)),
+        lambda: attach_canceling_pairs(rand_handlebody(rng, max_k=0, max_n=4),
+                                       rng.randint(1, 4)),
+    )
+    return [makers[i % len(makers)]() for i in range(count)]
+
+
+def test_homology_matches_the_full_boundary_block():
+    """homology reads boundary H1 from a block reduced by A's own
+    elimination; the reference eliminates A and the full block apart."""
+    rng = random.Random(1609)
+    seen = set()
+    for h in _homology_cases(rng, 10_000):
+        a = run_over_matrix(h)
+        diag = _eliminate([list(row) for row in a.entries], [], [])
+        units = diag.count(1)
+        p = homology(h)
+        seen |= {"k=0"} if h.k == 0 else set()
+        seen |= {"n=0"} if h.n == 0 else set()
+        seen |= {"all-unit"} if diag and units == len(diag) else set()
+        seen |= {"no-unit"} if any(diag) and units == 0 else set()
+        seen |= {"mixed"} if 0 < units < sum(1 for d in diag if d) else set()
+        seen |= {"torsion"} if p.boundary_h1.torsion_divisors else set()
+        basis = kernel_basis(a)
+        assert p.h1 == cokernel(a)
+        assert p.h2_rank == basis.cols
+        assert p.h2_basis == basis
+        assert p.intersection_form == basis.transpose().mul(h.linking).mul(basis)
+        assert p.boundary_h1 == cokernel(boundary_block_matrix(h)), h
+    assert seen == {"k=0", "n=0", "all-unit", "no-unit", "mixed", "torsion"}
+
+
+def test_homology_boundary_matches_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(1613)
+    torsion = 0
+    for h in _homology_cases(rng, 200):
+        b = boundary_block_matrix(h)
+        n = b.rows
+        factors = [abs(int(x)) for x in invariant_factors(
+            sympy.Matrix(n, n, [x for row in b.entries for x in row]), domain=sympy.ZZ)]
+        rank = sum(1 for x in factors if x != 0)
+        want = FgAbelianGroup(n - rank, tuple(sorted(x for x in factors if x > 1)))
+        assert homology(h).boundary_h1 == want, h
+        torsion += bool(want.torsion_divisors)
+    assert torsion > 10
 
 
 def test_homology_sphere_boundary_is_a_unit_block_determinant():
@@ -252,6 +329,31 @@ def test_canceling_pairs_leave_profile():
         h = rand_handlebody(rng)
         out = attach_canceling_pairs(h, rng.randint(1, 2))
         assert profiles_isomorphic(homology(h), homology(out))
+
+
+def _canceling_pair_by_hand(h):
+    """One canceling pair, built from the definition: dotted handle
+    g = k + 1 and an unlinked 0-framed 2-handle with word (+g)."""
+    g = h.k + 1
+    return handlebody(g, h.two_handles + (TwoHandle((g,), 0),),
+                      block_diag(h.linking, IntMatrix.zeros(1, 1)),
+                      cert_tags=h.cert_tags + (TAG_CANCELING_PAIRS,))
+
+
+def test_canceling_pairs_are_built_as_one_pair_at_a_time():
+    rng = random.Random(79)
+    for _ in range(300):
+        h = rand_handlebody(rng, with_fronts=rng.random() < 0.5)
+        if rng.random() < 0.5:
+            h = boundary_sum(h, mazur_cork_template(1, 2, 1))
+        count = rng.randint(0, 5)
+        want = h
+        for _ in range(count):
+            want = _canceling_pair_by_hand(want)
+        out = attach_canceling_pairs(h, count)
+        assert render_handlebody(out) == render_handlebody(want)
+        assert out.cert_tags == want.cert_tags
+        assert out == want
 
 
 # ---------------------------------------------------------------------------

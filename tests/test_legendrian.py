@@ -3,7 +3,15 @@ import random
 import pytest
 
 from kirbycalc.errors import PreconditionError
-from kirbycalc.handlebody import handlebody, homology, profiles_isomorphic
+from kirbycalc.handlebody import (
+    attach_one_handle,
+    boundary_sum,
+    handlebody,
+    homology,
+    profiles_isomorphic,
+    replace_front,
+    w_plus,
+)
 from kirbycalc.legendrian import (
     UNKNOT_FRONT,
     FrontCounts,
@@ -12,6 +20,7 @@ from kirbycalc.legendrian import (
     steinify,
     thurston_bennequin,
 )
+from kirbycalc.textio import render_handlebody
 
 from .gens import rand_front, rand_handlebody
 
@@ -124,6 +133,49 @@ def test_steinify_random_suite():
         assert len(out.two_handles) == len(h.two_handles) + raises
         assert profiles_isomorphic(homology(h), homology(out))
         assert steinify(out) == out
+
+
+def _steinify_by_moves(h):
+    """steinify as one public move per step: replace_front for each
+    stabilized handle and w_plus for each raise, fresh handles included."""
+    current = h
+    i = 0
+    while i < current.n:
+        th = current.two_handles[i]
+        t = thurston_bennequin(th.front)
+        if th.framing <= t - 1:
+            front = th.front
+            for s in range(t - 1 - th.framing):
+                front = stabilize(front, 1 if s % 2 == 0 else -1)
+            current = replace_front(current, i, front)
+        else:
+            current = w_plus(current, i, th.framing - t + 1)
+        i += 1
+    return current
+
+
+def test_steinify_builds_what_the_moves_one_by_one_build():
+    rng = random.Random(73)
+    raises = set()
+    tagged = 0
+    for _ in range(320):
+        h = rand_handlebody(rng, max_k=3, max_n=6, max_entry=4, with_fronts=True)
+        for _ in range(rng.randint(0, 2)):
+            if h.n:
+                h = w_plus(h, rng.randrange(h.n), rng.randint(1, 3))
+        if rng.random() < 0.3:
+            h = boundary_sum(h, rand_handlebody(rng, max_n=2, with_fronts=True))
+        if rng.random() < 0.3:
+            h = attach_one_handle(h)
+        out, want = steinify(h), _steinify_by_moves(h)
+        # Handlebody2 equality ignores cert_tags, so compare them apart
+        assert render_handlebody(out) == render_handlebody(want)
+        assert out.cert_tags == want.cert_tags
+        assert out == want
+        raises.add(min(out.n - h.n, 2))
+        tagged += bool(h.cert_tags)
+    assert raises == {0, 1, 2}
+    assert tagged > 100
 
 
 def test_front_counts_must_be_integral():

@@ -122,6 +122,62 @@ def test_front_for_unknown_handle():
         parse_handlebody(text)
 
 
+_BAD_INTEGERS = ("x", "1.0", "+1", "1_0", "--1", "\u00b2", "\u0663")
+
+
+def _integer_tokens(line):
+    """(token index, `name=` prefix, what the reader expects) for each
+    integer token of a rendered handlebody line."""
+    toks = line.split()
+    ids = [(1, "", "2-handle id")]
+    if toks[0] == "one_handles":
+        return [(1, "", "count")]
+    if toks[0] == "two_handle":
+        return ids + [(2, "word=", "word letter")] + [
+            (k, "", "word letter") for k in range(3, len(toks) - 1)] + [
+            (len(toks) - 1, "framing=", "integer")]
+    if toks[0] == "linking":
+        return ids + [(2, "", "2-handle id"), (3, "", "linking number")]
+    if toks[0] == "front":
+        return ids + [(k, tok.split("=")[0] + "=", "integer")
+                      for k, tok in enumerate(toks) if k >= 2]
+    return []
+
+
+def test_corrupt_integer_tokens_are_reported_where_they_stand():
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(300):
+        h = rand_handlebody(rng, max_k=4, max_n=5, with_fronts=rng.random() < 0.7)
+        lines = render_handlebody(h).splitlines()
+        for _ in range(4):
+            ln = rng.randrange(1, len(lines))
+            toks = lines[ln].split()
+            k, prefix, what = rng.choice(_integer_tokens(lines[ln]))
+            if toks[k] == prefix:
+                continue  # an empty word=
+            bad = rng.choice(_BAD_INTEGERS + (("",) if prefix else ()))
+            text = "\n".join(lines[:ln] + [" ".join(toks[:k] + [prefix + bad] + toks[k + 1:])]
+                             + lines[ln + 1:]) + "\n"
+            if prefix == "word=" and bad == "":
+                # the word only loses its first letter
+                j = int(toks[1]) - 1
+                assert parse_handlebody(text).two_handles[j].word == h.two_handles[j].word[1:]
+                seen.add("empty word=")
+                continue
+            with pytest.raises(FormatError) as exc:
+                parse_handlebody(text)
+            column = 1 + sum(len(t) + 1 for t in toks[:k])
+            assert (exc.value.line, exc.value.column) == (ln + 1, column)
+            assert str(exc.value) == (f"line {ln + 1}, column {column}: "
+                                      f"expected {what}, got {bad!r}")
+            seen.add((toks[0], what, bad))
+    kinds = {"one_handles", "two_handle", "linking", "front"}
+    assert {kind for kind, _, _ in seen - {"empty word="}} == kinds
+    assert {bad for _, _, bad in seen - {"empty word="}} == set(_BAD_INTEGERS) | {""}
+    assert "empty word=" in seen
+
+
 # ---------------------------------------------------------------------------
 # table files
 
