@@ -9,11 +9,16 @@ human summary; setting KIRBYCALC_REPORT=machine suppresses the summary.
 Exit codes: 0 success, 1 when a command renders a FAIL-type verdict
 (hihc FAIL, equiv NOT-WITHIN-BOUND, stability VIOLATION), 2 on any
 input or format error.
+
+The argument parser of each command path is built once per process and
+holds only that command's subparser, so a one-shot run builds one and a
+long-lived caller of main() reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -320,15 +325,36 @@ def _add_commands(parser, dest, table, argv) -> None:
         p.set_defaults(func=handler)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The kirbycalc parser; given argv, only with the subparsers that argv names."""
+def _command_path(argv) -> tuple:
+    """The leading words of argv that name a command and its sub-command."""
+    path, table = [], COMMANDS
+    for word in argv:
+        if not isinstance(table, dict) or word not in table:
+            break
+        path.append(word)
+        table = table[word][1]
+    return tuple(path)
+
+
+@functools.cache
+def _parser(path: tuple) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kirbycalc",
         description="exact invariants of combinatorial 4-dimensional "
                     "2-handlebodies ('-' reads stdin)",
     )
-    _add_commands(parser, "command", COMMANDS, argv or ())
+    _add_commands(parser, "command", COMMANDS, path)
     return parser
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The kirbycalc parser; given argv, only with the subparsers that argv names.
+
+    Each command path ((), ("homology",), ("stability", "sum"), ...) gets
+    one parser per process, shared by every call that names it, so a
+    caller must not modify the parser it is given.
+    """
+    return _parser(_command_path(argv or ()))
 
 
 def main(argv=None) -> int:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from kirbycalc import cli
 from kirbycalc.cli import COMMANDS, build_parser, main
 from kirbycalc.handlebody import handlebody, mazur_cork_template
 from kirbycalc.textio import render_handlebody, render_module, render_table
@@ -256,3 +257,34 @@ def test_build_parser_adds_only_the_named_command():
     assert list(_subcommands(stability)) == ["quasi"]
     stability = _subcommands(build_parser(["stability", "--help"]))["stability"]
     assert list(_subcommands(stability)) == ["sum", "quasi"]
+
+
+def _command_paths():
+    """The empty path, every command, and every command of a nested table."""
+    paths = [()]
+    for name, (_, handler, _) in COMMANDS.items():
+        paths.append((name,))
+        if isinstance(handler, dict):
+            paths += [(name, sub) for sub in handler]
+    return paths
+
+
+def test_build_parser_reuses_one_parser_per_command_path():
+    assert build_parser(["homology", "a.hb"]) is build_parser(["homology", "b.hb"])
+    assert build_parser(["homology", "a.hb"]) is not build_parser(["info", "a.hb"])
+    assert build_parser(["stability", "sum", "a", "b"]) \
+        is not build_parser(["stability", "quasi", "a", "b"])
+    assert build_parser(["-h"]) is build_parser(["bogus"]) is build_parser()
+
+
+def test_parser_cache_holds_one_parser_per_command_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the file arguments name files that do not exist
+    paths = _command_paths()
+    for i in range(50):
+        for path in paths:
+            try:
+                main([*path, f"in{i}.hb"])
+            except SystemExit:
+                pass
+    capsys.readouterr()
+    assert cli._parser.cache_info().currsize == len(paths)

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from kirbycalc.cli import main
+from kirbycalc import cli
+from kirbycalc.cli import build_parser, main
 
 CORPUS = Path(__file__).resolve().parent / "cli_usage.json"
 OUTCOME_KEYS = ("exit", "stdout", "stderr")
@@ -49,6 +50,20 @@ def test_usage_outcome(row, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # file arguments name files that do not exist
     want = {k: row[k] for k in OUTCOME_KEYS}
     assert _outcome(row["argv"]) == want
+
+
+def test_cached_parsers_carry_nothing_between_calls(tmp_path, monkeypatch):
+    """Every row twice in one process, on parsers first built under a
+    narrow terminal: once in corpus order, then in reverse."""
+    monkeypatch.chdir(tmp_path)
+    rows = _rows()
+    cli._parser.cache_clear()
+    with monkeypatch.context() as narrow:
+        narrow.setenv("COLUMNS", "30")
+        for row in rows:
+            build_parser(row["argv"])
+    for row in rows + rows[::-1]:
+        assert _outcome(row["argv"]) == {k: row[k] for k in OUTCOME_KEYS}, row["name"]
 
 
 def test_row_names_are_unique():

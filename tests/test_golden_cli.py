@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from kirbycalc.cli import main
+from kirbycalc import cli
+from kirbycalc.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 # transformer commands print no report block, so KIRBYCALC_REPORT is moot
@@ -63,6 +64,21 @@ def _run(argv, report):
 def test_golden_output(name, argv, report):
     want = _expected_path(name, report).read_bytes()
     assert _run(argv, report).encode("ascii") == want
+
+
+def test_a_usage_error_leaves_the_cached_parser_as_it_was(capsys):
+    parser = build_parser(["sum"])
+    with pytest.raises(SystemExit) as exc:
+        main(["sum", "a", "b"])
+    assert exc.value.code == 2
+    assert "one of the arguments --boundary --connected is required" \
+        in capsys.readouterr().err
+    argv = ["sum", "linked.hb", "pair.hb", "--boundary"]
+    after_error = _run(argv, "full")
+    assert build_parser(argv) is parser
+    cli._parser.cache_clear()
+    assert _run(argv, "full") == after_error
+    assert after_error.encode("ascii") == _expected_path("sum_boundary", "full").read_bytes()
 
 
 def test_every_expected_file_has_a_case():
