@@ -32,7 +32,6 @@ from .genus import (
     sum_stability_check,
 )
 from .handlebody import (
-    boundary_block_matrix,
     boundary_sum,
     connected_sum_model,
     hihc_certificate,
@@ -41,7 +40,7 @@ from .handlebody import (
     w_minus,
     w_plus,
 )
-from .intmat import IntMatrix, cokernel_and_determinant
+from .intmat import IntMatrix
 from .legendrian import steinify
 from .textio import parse_handlebody, parse_module, parse_table, render_handlebody
 from .values import OrderedValue, integer
@@ -111,8 +110,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    block = boundary_block_matrix(_load_handlebody(args.file))
-    h1, det = cokernel_and_determinant(block)
+    p = homology(_load_handlebody(args.file))
+    h1, det = p.boundary_h1, p.boundary_determinant
     sphere = "yes" if abs(det) == 1 else "no"
     pairs = [
         ("boundary-h1", h1),

@@ -133,12 +133,6 @@ def a_g(r, n: int, t: DiskBundleTable) -> AgValue:
     return AgValue(POS_INF, capped=True)
 
 
-def genus_lower_bound(g_value, self_int: int, t: DiskBundleTable) -> AgValue:
-    """Lower bound for the genus of a class from its invariant value
-    and self-intersection number."""
-    return a_g(g_value, self_int, t)
-
-
 def lower_bound_check(claimed_genus: int, g_value, self_int: int,
                       t: DiskBundleTable):
     """Validate a claimed genus against the lower bound.
@@ -146,7 +140,7 @@ def lower_bound_check(claimed_genus: int, g_value, self_int: int,
     Returns (ok, bound).  A capped-infinite bound cannot certify a
     violation, so it reports ok with the caveat carried in the bound.
     """
-    bound = genus_lower_bound(g_value, self_int, t)
+    bound = a_g(g_value, self_int, t)
     if bound.capped:
         return True, bound
     return OrderedValue.of(claimed_genus) >= bound.value, bound

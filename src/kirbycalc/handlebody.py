@@ -11,11 +11,13 @@ Homology is read off exactly: with A the k x n run-over matrix,
 H_1 = coker A, H_2 = ker A (saturated), the intersection form is the
 linking matrix restricted to the kernel, and H_1 of the boundary is the
 cokernel of the surgery block matrix [[0, A], [A^T, linking]] obtained
-by trading every dot for a 0-framed circle.  homology() reads all four
-from one Smith elimination U A V = D: the block is congruent to
-[[0, D], [D^T, V^T linking V]], each unit divisor splits off a
-unimodular summand, and boundary H_1 is the cokernel of what is left
-(Gompf-Stipsicz, 4-Manifolds and Kirby Calculus, 5.3).
+by trading every dot for a 0-framed circle.  homology() reads all four,
+and the block's determinant, from one Smith elimination U A V = D: the
+block is congruent to [[0, D], [D^T, V^T linking V]], each of the u
+unit divisors splits off a [[0, 1], [1, 0]] summand of determinant -1,
+boundary H_1 is the cokernel of what is left, and the block determinant
+is (-1)^u times its determinant (Gompf-Stipsicz, 4-Manifolds and Kirby
+Calculus, 5.3).
 
 The diagram modifications implemented here (the tb-raising and
 tb-neutral moves that insert a homotopically canceling handle pair, the
@@ -39,6 +41,7 @@ from .intmat import (
     _replayed,
     block_diag,
     cokernel,
+    determinant,
 )
 from .legendrian import FrontCounts
 
@@ -154,11 +157,13 @@ class HomologyProfile:
     h2_basis: IntMatrix
     intersection_form: IntMatrix
     boundary_h1: FgAbelianGroup
+    boundary_determinant: int
 
 
 def homology(h: Handlebody2) -> HomologyProfile:
-    """H_1, H_2, the form and boundary H_1, all from one Smith elimination
-    of the run-over matrix A.
+    """H_1, H_2, the form, boundary H_1 and the determinant of the
+    boundary block, all from one Smith elimination of the run-over
+    matrix A.
 
     With U A V = D, the congruence diag(U, V^T) turns the boundary block
     into [[0, D], [D^T, V^T L V]], and each unit divisor of D splits off a
@@ -166,8 +171,9 @@ def homology(h: Handlebody2) -> HomologyProfile:
     past the u unit divisors, is built; L~ = V_J^T L V_J is the linking
     matrix in that basis, boundary H_1 is the cokernel of
     [[0, D'], [D'^T, L~]] for D' the (k - u) x (n - u) diagonal of the
-    non-unit divisors, and the kernel columns of V, the trailing columns
-    of V_J, carry the intersection form as L~'s trailing corner.
+    non-unit divisors, and its determinant times (-1)^u is that of the
+    boundary block.  The kernel columns of V, the trailing columns of
+    V_J, carry the intersection form as L~'s trailing corner.
     """
     diag, ops, h1 = _column_smith(run_over_matrix(h))
     units = diag.count(1)
@@ -180,13 +186,15 @@ def homology(h: Handlebody2) -> HomologyProfile:
     block += [[0] * m + list(row) for row in lt.entries]
     for i, d in enumerate(diag[units:]):
         block[i][m + i] = block[m + i][i] = d
+    block = IntMatrix.from_rows(block, cols=m + size)
     return HomologyProfile(
         h1=h1,
         h2_rank=size - r,
         h2_basis=IntMatrix._unchecked(tuple(row[r:] for row in vj.entries), size - r),
         intersection_form=IntMatrix._unchecked(
             tuple(row[r:] for row in lt.entries[r:]), size - r),
-        boundary_h1=cokernel(IntMatrix.from_rows(block, cols=m + size)),
+        boundary_h1=cokernel(block),
+        boundary_determinant=(-1) ** units * determinant(block),
     )
 
 
@@ -388,4 +396,4 @@ def hihc_certificate(h1: Handlebody2, h2: Handlebody2,
 def is_homology_sphere_boundary(h: Handlebody2) -> bool:
     """|det| of the square boundary block is 1 exactly when its cokernel,
     boundary H1, is trivial."""
-    return cokernel(boundary_block_matrix(h)).is_trivial
+    return homology(h).boundary_h1.is_trivial

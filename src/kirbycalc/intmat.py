@@ -14,9 +14,7 @@ one U b and one V y).  The pivots depend on the matrix alone, so all
 see the same diagonal, U and V.
 cokernel reads no transform and builds none: a sparse pass first takes
 every +-1 pivot in Markowitz order, and the Smith elimination reduces
-only what that pass leaves.  The same pass yields the sign its pivots
-give the determinant, so cokernel_and_determinant runs Bareiss only on
-that remainder; determinant alone stays a dense Bareiss elimination.
+only what that pass leaves.
 
 All entries are plain Python integers, never fractions; they may grow
 without bound during elimination and nothing here ever truncates.
@@ -308,7 +306,8 @@ def _eliminate(a, rops, ops):
     cols = len(a[0]) if a else 0
     t = 0
     while t < min(rows, cols):
-        # locate the smallest nonzero entry of the trailing submatrix
+        # locate the first smallest nonzero entry of the trailing
+        # submatrix; nothing beats a unit, so the scan ends at its row
         piv = None
         best = None
         for i in range(t, rows):
@@ -317,6 +316,8 @@ def _eliminate(a, rops, ops):
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     piv = (i, j)
+            if best == 1:
+                break
         if piv is None:
             break
         _swap_rows(a, rops, t, piv[0])
@@ -440,22 +441,15 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 def _unit_pivots(m):
     """Eliminate the unit entries of m sparsely.
 
-    Returns (pivots, rest, sign): the number of +-1 pivots taken, what
-    they leave, as row lists with no zero row or column, and the sign
-    with det m = sign * det rest.  The rank of m is pivots plus the rank
-    of rest, and both cokernels have the same torsion.  m is kept as the
-    nonzeros of each row and the rows of each column.  While a +-1 entry
-    remains, the one of lowest Markowitz cost (r - 1)(c - 1), for r and
-    c the nonzeros in its row and column, clears its column by row
-    operations; its row then clears by column operations that touch no
-    other row, so the pivot's row and column are simply dropped.
-
-    None of these operations changes the determinant, so det m is the
-    product of the pivots times det rest times the sign of the pairing
-    of rows with columns: each pivot row with its pivot column, and the
-    rows of rest, in order, with the columns of rest.  sign is 0 unless
-    m is square and rest is (n - pivots) x (n - pivots); otherwise m
-    has a zero row or column left, or is not square.
+    Returns (pivots, rest): the number of +-1 pivots taken and what
+    they leave, as row lists with no zero row or column.  The rank of m
+    is pivots plus the rank of rest, and both cokernels have the same
+    torsion.  m is kept as the nonzeros of each row and the rows of
+    each column.  While a +-1 entry remains, the one of lowest Markowitz
+    cost (r - 1)(c - 1), for r and c the nonzeros in its row and column,
+    clears its column by row operations; its row then clears by column
+    operations that touch no other row, so the pivot's row and column
+    are simply dropped.
     """
     rows = {}
     cols = {}
@@ -466,8 +460,6 @@ def _unit_pivots(m):
             for j in nz:
                 cols.setdefault(j, set()).add(i)
     pivots = 0
-    sign = 1
-    pairing = {}
     while True:
         best = None
         for i, row in rows.items():
@@ -484,8 +476,6 @@ def _unit_pivots(m):
         _, i, j = best
         prow = rows.pop(i)
         s = prow.pop(j)
-        sign *= s
-        pairing[i] = j
         for col in prow:
             cols[col].discard(i)
         for k in cols.pop(j):
@@ -505,21 +495,7 @@ def _unit_pivots(m):
                 del rows[k]
         pivots += 1
     live = [j for j, rs in cols.items() if rs]
-    rest = [[row.get(j, 0) for j in live] for row in rows.values()]
-    free = m.rows - pivots
-    if m.rows != m.cols or len(rest) != free or len(live) != free:
-        return pivots, rest, 0
-    pairing.update(zip(rows, live))
-    seen = set()
-    for start, j in pairing.items():
-        if start in seen:
-            continue
-        # a cycle of length L has sign (-1)^(L - 1)
-        while j != start:
-            sign = -sign
-            seen.add(j)
-            j = pairing[j]
-    return pivots, rest, sign
+    return pivots, [[row.get(j, 0) for j in live] for row in rows.values()]
 
 
 def _group(rows, diag, pivots=0):
@@ -538,21 +514,8 @@ def cokernel(m: IntMatrix) -> FgAbelianGroup:
     built.  The group is canonical, so the pivot order changes only the
     time taken.
     """
-    pivots, rest, _ = _unit_pivots(m)
+    pivots, rest = _unit_pivots(m)
     return _group(m.rows, _eliminate(rest, [], []), pivots)
-
-
-def cokernel_and_determinant(m: IntMatrix):
-    """(cokernel(m), determinant(m)) from one sparse pass.
-
-    The pass that takes cokernel's +-1 pivots also gives the sign they
-    contribute (_unit_pivots), so Bareiss runs only on the remainder.
-    A non-square m raises DimensionError, as in determinant.
-    """
-    _require_square(m)
-    pivots, rest, sign = _unit_pivots(m)
-    det = sign * _bareiss([row[:] for row in rest]) if sign else 0
-    return _group(m.rows, _eliminate(rest, [], []), pivots), det
 
 
 def _column_smith(m: IntMatrix):
@@ -561,13 +524,6 @@ def _column_smith(m: IntMatrix):
     ops = []
     diag = _eliminate([list(r) for r in m.entries], [], ops)
     return diag, ops, _group(m.rows, diag)
-
-
-def _kernel_and_cokernel(m: IntMatrix):
-    """(kernel_basis(m), cokernel(m)) from one elimination."""
-    diag, ops, group = _column_smith(m)
-    rank = sum(1 for d in diag if d != 0)
-    return _replayed(ops, m.cols, rank).transpose(), group
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -579,25 +535,17 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     the column operations over e_rank ... e_(cols-1).  Returned as a
     cols x (cols - rank) matrix whose columns are the basis vectors.
     """
-    return _kernel_and_cokernel(m)[0]
-
-
-def _require_square(m):
-    r, c = m.shape()
-    if r != c:
-        raise DimensionError(f"determinant of non-square {r}x{c} matrix")
+    diag, ops, _ = _column_smith(m)
+    rank = sum(1 for d in diag if d != 0)
+    return _replayed(ops, m.cols, rank).transpose()
 
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
-    _require_square(m)
-    return _bareiss([list(row) for row in m.entries])
-
-
-def _bareiss(a):
-    """The determinant of a, a square list of row lists, which the
-    fraction-free elimination overwrites."""
-    n = len(a)
+    n, c = m.shape()
+    if n != c:
+        raise DimensionError(f"determinant of non-square {n}x{c} matrix")
+    a = [list(row) for row in m.entries]
     if n == 0:
         return 1
     sign = 1

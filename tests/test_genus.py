@@ -7,7 +7,6 @@ from kirbycalc.genus import (
     a_g,
     char_class_instance,
     disk_bundle_table,
-    genus_lower_bound,
     identity_disk_bundle_table,
     kervaire_milnor_obstruction,
     lower_bound_check,
@@ -76,7 +75,7 @@ def test_table_validation():
 
 
 def test_lower_bound_and_checker():
-    bound = genus_lower_bound(2, 0, IDENTITY_TABLE)
+    bound = a_g(2, 0, IDENTITY_TABLE)
     assert bound.value == OrderedValue.of(2)
     ok, _ = lower_bound_check(3, 2, 0, IDENTITY_TABLE)
     assert ok

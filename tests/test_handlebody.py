@@ -138,8 +138,10 @@ def _homology_cases(rng, count):
 
 
 def test_homology_matches_the_full_boundary_block():
-    """homology reads boundary H1 from a block reduced by A's own
-    elimination; the reference eliminates A and the full block apart."""
+    """homology reads boundary H1 and the block determinant from a block
+    reduced by A's own elimination; the reference eliminates A and the
+    full block apart, and takes a dense Bareiss determinant of the
+    latter."""
     rng = random.Random(1609)
     seen = set()
     for h in _homology_cases(rng, 10_000):
@@ -158,8 +160,13 @@ def test_homology_matches_the_full_boundary_block():
         assert p.h2_rank == basis.cols
         assert p.h2_basis == basis
         assert p.intersection_form == basis.transpose().mul(h.linking).mul(basis)
-        assert p.boundary_h1 == cokernel(boundary_block_matrix(h)), h
-    assert seen == {"k=0", "n=0", "all-unit", "no-unit", "mixed", "torsion"}
+        block = boundary_block_matrix(h)
+        assert p.boundary_h1 == cokernel(block), h
+        det = determinant(block)
+        assert p.boundary_determinant == det, h
+        seen.add(("det<0", "det=0", "det>0")[(det > 0) - (det < 0) + 1])
+    assert seen == {"k=0", "n=0", "all-unit", "no-unit", "mixed", "torsion",
+                    "det<0", "det=0", "det>0"}
 
 
 def test_homology_boundary_matches_sympy_invariant_factors():
@@ -178,6 +185,19 @@ def test_homology_boundary_matches_sympy_invariant_factors():
         assert homology(h).boundary_h1 == want, h
         torsion += bool(want.torsion_divisors)
     assert torsion > 10
+
+
+def test_homology_boundary_determinant_matches_sympy_det():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8629)
+    dets = set()
+    for h in _homology_cases(rng, 200):
+        b = boundary_block_matrix(h)
+        n = b.rows
+        want = int(sympy.Matrix(n, n, [x for row in b.entries for x in row]).det())
+        assert homology(h).boundary_determinant == want, h
+        dets.add(want)
+    assert len(dets) > 5 and min(dets) < 0 < max(dets) and 0 in dets
 
 
 def test_homology_sphere_boundary_is_a_unit_block_determinant():

@@ -13,7 +13,6 @@ from kirbycalc.intmat import (
     _eliminate,
     _unit_pivots,
     cokernel,
-    cokernel_and_determinant,
     determinant,
     is_unimodular,
     kernel_basis,
@@ -504,7 +503,7 @@ def test_unit_pivots_leave_no_unit_and_keep_the_rank():
         else:
             m = rand_sparse_units(rng, rng.randint(1, 10), rng.randint(1, 10),
                                   rng.uniform(0.1, 0.5))
-        pivots, rest, _ = _unit_pivots(m)
+        pivots, rest = _unit_pivots(m)
         assert all(abs(x) != 1 for row in rest for x in row)
         assert all(any(row) for row in rest)
         assert all(any(row[j] for row in rest) for j in range(len(rest[0]) if rest else 0))
@@ -545,48 +544,6 @@ def test_cokernel_of_unit_blocks_is_unimodular_invariant():
         assert cokernel(left.mul(m).mul(right)) == cokernel(m)
 
 
-# the determinant read off the same sparse pass
-
-
-def test_cokernel_and_determinant_match_the_separate_calls():
-    rng = random.Random(7331)
-    cases = [IntMatrix.zeros(r, c) for r, c in [(0, 0), (0, 3), (3, 0), (3, 3)]]
-    cases += [rand_matrix(rng, max_dim=7) for _ in range(2000)]
-    cases += [rand_matrix(rng, rows=n, cols=n)
-              for n in (rng.randint(1, 7) for _ in range(1500))]
-    for _ in range(3500):
-        r = rng.randint(1, 12)
-        c = r if rng.random() < 0.7 else rng.randint(1, 12)
-        cases.append(rand_sparse_units(rng, r, c, rng.uniform(0.1, 0.5)))
-    cases += [rand_boundary_block(rng) for _ in range(10_000 - len(cases))]
-    assert len(cases) == 10_000
-    signs = {-1: 0, 0: 0, 1: 0}
-    non_square = 0
-    for m in cases:
-        if not m.is_square():
-            non_square += 1
-            with pytest.raises(DimensionError):
-                cokernel_and_determinant(m)
-            continue
-        det = determinant(m)
-        assert cokernel_and_determinant(m) == (cokernel(m), det), m
-        signs[(det > 0) - (det < 0)] += 1
-    assert min(non_square, *signs.values()) > 500
-
-
-def test_cokernel_and_determinant_of_blocks_matches_sympy_det():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(8629)
-    dets = set()
-    for _ in range(200):
-        m = rand_boundary_block(rng, max_rows=20)
-        n = m.rows
-        want = int(sympy.Matrix(n, n, [x for row in m.entries for x in row]).det())
-        assert cokernel_and_determinant(m)[1] == want, m
-        dets.add(want)
-    assert len(dets) > 5
-
-
 def test_swapping_two_rows_negates_the_determinant():
     rng = random.Random(9173)
     for _ in range(300):
@@ -595,12 +552,12 @@ def test_swapping_two_rows_negates_the_determinant():
         else:
             n = rng.randint(2, 10)
             m = rand_sparse_units(rng, n, n, rng.uniform(0.1, 0.5))
-        group, det = cokernel_and_determinant(m)
         rows = [list(r) for r in m.entries]
         i, j = rng.sample(range(m.rows), 2)
         rows[i], rows[j] = rows[j], rows[i]
         swapped = IntMatrix.from_rows(rows, cols=m.cols)
-        assert cokernel_and_determinant(swapped) == (group, -det), m
+        assert determinant(swapped) == -determinant(m), m
+        assert cokernel(swapped) == cokernel(m), m
 
 
 # ---------------------------------------------------------------------------
