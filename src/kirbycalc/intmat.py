@@ -77,10 +77,10 @@ class IntMatrix:
     @classmethod
     def from_diagonal(cls, values) -> "IntMatrix":
         """The square matrix with the given diagonal and zeros elsewhere."""
-        values = tuple(values)
+        values = tuple(map(index, values))
         n = len(values)
-        return cls(tuple(tuple(x if i == j else 0 for j in range(n))
-                         for i, x in enumerate(values)), n)
+        return cls._unchecked(tuple(tuple(x if i == j else 0 for j in range(n))
+                                    for i, x in enumerate(values)), n)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -92,7 +92,10 @@ class IntMatrix:
     def zeros(cls, r: int, c: int) -> "IntMatrix":
         if index(r) < 0:
             raise DimensionError(f"negative row count {r}")
-        return cls(tuple(tuple(0 for _ in range(c)) for _ in range(r)), c)
+        c = index(c)
+        if c < 0:
+            raise DimensionError(f"negative column count {c}")
+        return cls._unchecked(((0,) * c,) * r, c)
 
     def shape(self):
         return (self.rows, self.cols)
@@ -153,16 +156,16 @@ class IntMatrix:
         for idx, n, what in ((row_idx, self.rows, "row"), (col_idx, self.cols, "column")):
             if bad := [i for i in idx if not 0 <= i < n]:
                 raise DimensionError(f"{what} index {bad[0]} out of range for size {n}")
-        return IntMatrix.from_rows(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx], cols=len(col_idx)
-        )
+        return IntMatrix._unchecked(
+            tuple(tuple([self.entries[i][j] for j in col_idx]) for i in row_idx),
+            len(col_idx))
 
 
 def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Assemble [[a, 0], [0, b]]."""
-    return IntMatrix.from_rows(
-        [row + (0,) * b.cols for row in a.entries]
-        + [(0,) * a.cols + row for row in b.entries], cols=a.cols + b.cols)
+    return IntMatrix._unchecked(
+        tuple(row + (0,) * b.cols for row in a.entries)
+        + tuple((0,) * a.cols + row for row in b.entries), a.cols + b.cols)
 
 
 def with_relations(m: IntMatrix, orders) -> IntMatrix:
@@ -174,10 +177,10 @@ def with_relations(m: IntMatrix, orders) -> IntMatrix:
     """
     if len(orders) != m.rows:
         raise DimensionError(f"{len(orders)} orders for {m.rows} rows")
-    tor = [i for i, t in enumerate(orders) if t != 0]
-    rows = [list(row) + [orders[i] if i == k else 0 for k in tor]
-            for i, row in enumerate(m.entries)]
-    return IntMatrix.from_rows(rows, cols=m.cols + len(tor))
+    tor = {i: index(t) for i, t in enumerate(orders) if t != 0}
+    rows = tuple(row + tuple([t if i == k else 0 for k, t in tor.items()])
+                 for i, row in enumerate(m.entries))
+    return IntMatrix._unchecked(rows, m.cols + len(tor))
 
 
 @dataclass(frozen=True)
@@ -405,8 +408,9 @@ def _apply(rops, y):
 def _replayed(ops, n, start=0):
     """The matrix of rows _replay(ops, e_k), k = start, ..., n - 1: rows of
     U over the row operations, rows of V^T over the column operations."""
-    return IntMatrix.from_rows([_replay(ops, [0] * k + [1] + [0] * (n - k - 1))
-                                for k in range(start, n)], cols=n)
+    return IntMatrix._unchecked(
+        tuple(tuple(_replay(ops, [0] * k + [1] + [0] * (n - k - 1)))
+              for k in range(start, n)), n)
 
 
 def _diagonal_solve(diag, ub, n):
@@ -434,7 +438,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     ops = []
     _eliminate(a, rops, ops)
     return SmithDecomposition(u=_replayed(rops, m.rows),
-                              d=IntMatrix.from_rows(a, cols=m.cols),
+                              d=IntMatrix._unchecked(tuple(map(tuple, a)), m.cols),
                               v=_replayed(ops, m.cols).transpose())
 
 

@@ -18,12 +18,20 @@ from kirbycalc.cobordism import (
     submodule,
     trivial_ends_model,
 )
+from kirbycalc import forms
 from kirbycalc.errors import PreconditionError
-from kirbycalc.forms import compose, decorated_module, module_hom
+from kirbycalc.forms import (
+    algebraically_equivalent,
+    compose,
+    decorated_module,
+    module_hom,
+    stability_report,
+)
+from kirbycalc.genus import sum_model, sum_stability_check
 from kirbycalc.intmat import FgAbelianGroup, IntMatrix, solve_integer, with_relations
 from kirbycalc.values import NEG_INF, POS_INF, OrderedValue
 
-from .gens import box_keys, rand_decorated
+from .gens import box_keys, equivalent_copy, rand_decorated
 
 
 def _zero_module():
@@ -373,6 +381,72 @@ def test_stability_random_suite():
         k = _free(1, gvalues={key: 0 for key in box_keys((0,), 2)})
         rep = stability_check_quasi(_attachment(x1, k), _attachment(x2, k), 2)
         assert rep.implication_ok
+
+
+def _answer(res):
+    return res.verdict, res.witness, res.undecided
+
+
+def test_stability_reports_match_direct_searches(monkeypatch):
+    """Both answers of a report are those of two separate searches, and
+    an after pair equal by value to the before pair is not searched again."""
+    searches = []
+
+    def counted(d1, d2, bound):
+        searches.append((d1, d2))
+        return algebraically_equivalent(d1, d2, bound)
+
+    monkeypatch.setattr(forms, "algebraically_equivalent", counted)
+
+    def check(rep, before, after, bound):
+        assert _answer(rep.before) == _answer(algebraically_equivalent(*before, bound))
+        assert _answer(rep.after) == _answer(algebraically_equivalent(*after, bound))
+        assert searches == ([before] if after == before else [before, after])
+        searches.clear()
+        return rep.before.verdict, rep.after.verdict
+
+    rng = random.Random(1904)
+    verdicts = {"h2zero": set(), "h2-iso": set(), "nondegenerate": set()}
+    for _ in range(12):
+        torsion = rng.random() < 0.4
+        d1 = rand_decorated(rng, rank=rng.randint(1, 2), radius=1, torsion=torsion)
+        d2 = (equivalent_copy(rng, d1) if rng.random() < 0.6 else
+              rand_decorated(rng, rank=d1.free_rank, radius=1, torsion=torsion))
+        bound = rng.randint(1, 2)
+        z = decorated_module((), None, {(): rng.choice((0, 3))})
+        rep = sum_stability_check(d1, d2, z, z, "h2zero", bound)
+        verdicts["h2zero"].add(check(
+            rep, (d1, d2), (sum_model(d1, z), sum_model(d2, z)), bound))
+        a1, a2 = _attachment(d1, _zero_module()), _attachment(d2, _zero_module())
+        rep = stability_check_quasi(a1, a2, bound)
+        assert rep.mode == "h2-iso"
+        verdicts["h2-iso"].add(check(
+            rep, (d1, d2), (attach(a1).module, attach(a2).module), bound))
+    for _ in range(12):
+        d1 = rand_decorated(rng, rank=rng.randint(1, 2), radius=1, nondegenerate=True)
+        d2 = (equivalent_copy(rng, d1) if rng.random() < 0.7 else
+              rand_decorated(rng, rank=d1.free_rank, radius=1, nondegenerate=True))
+        z1, z2 = (_free(1, gvalues={key: rng.choice((0, 0, 1)) for key in box_keys((0,), 1)})
+                  for _ in range(2))
+        rep = sum_stability_check(d1, d2, z1, z2, "nondegenerate", 1)
+        verdicts["nondegenerate"].add(check(
+            rep, (d1, d2), (sum_model(d1, z1), sum_model(d2, z2)), 1))
+    # golden stability_sum_nondegenerate: x_a, x_b, z_free, z_tor
+    x_a = _free(2, [[1, 0], [0, -1]], {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3})
+    x_b = _free(2, [[-1, 0], [0, 1]], {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3})
+    z_free = _free(1, gvalues={(0,): 0, (1,): 0})
+    z_tor = decorated_module((2,), None, {(0,): 0, (1,): 0})
+    rep = sum_stability_check(x_a, x_b, z_free, z_tor, "nondegenerate", 2)
+    assert check(rep, (x_a, x_b), (sum_model(x_a, z_free), sum_model(x_b, z_tor)),
+                 2) == ("EQUIVALENT", "NOT-WITHIN-BOUND")
+    # an after pair that differs from the before pair in its table alone
+    changed = decorated_module(x_b.orders, x_b.form, {**x_b.gvalues, (1, 1): 4})
+    rep = stability_report("table", False, (x_a, x_b), (x_a, changed), 2)
+    assert check(rep, (x_a, x_b), (x_a, changed), 2) == ("EQUIVALENT", "NOT-WITHIN-BOUND")
+    # the samples cover both verdicts, and pairs whose verdicts differ
+    for mode in ("h2zero", "h2-iso"):
+        assert verdicts[mode] == {("EQUIVALENT",) * 2, ("NOT-WITHIN-BOUND",) * 2}
+    assert ("EQUIVALENT", "NOT-WITHIN-BOUND") in verdicts["nondegenerate"]
 
 
 def test_stability_requires_hypotheses():

@@ -465,6 +465,27 @@ def test_zero_class_mismatch_ends_the_search():
     assert not algebraically_equivalent(d1, d2, 1).equivalent
 
 
+def test_search_homs_match_module_hom_on_torsion():
+    """Every hom the search yields is the reduced module_hom of its own
+    matrix; with Z/2 generators a candidate -1 must come out as 1."""
+    rng = random.Random(1905)
+    homs = reduced = 0
+    for _ in range(40):
+        d1 = rand_decorated(rng, rank=rng.randint(1, 2), radius=1, torsion=True)
+        d2 = equivalent_copy(rng, d1) if rng.random() < 0.7 else rand_decorated(
+            rng, rank=d1.free_rank, radius=1, torsion=True)
+        bound = rng.randint(1, 2)
+        for match_values in (False, True):
+            for hom in iter_isometries(d1, d2, bound, match_values=match_values):
+                assert hom == module_hom(d1, d2, hom.matrix)
+                assert all(type(row) is tuple and all(type(x) is int for x in row)
+                           for row in hom.matrix.entries)
+                homs += 1
+                reduced += any(hom.matrix[i, j] == 1 for i in d2.torsion_indices
+                               for j in range(d1.ngens))
+    assert homs > 200 and reduced == homs, (homs, reduced)
+
+
 def test_torsion_isometries_are_deduplicated():
     d = decorated_module((2,), IntMatrix(((0,),)))
     isos = enumerate_isometries(d, d, 1)

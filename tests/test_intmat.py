@@ -12,6 +12,7 @@ from kirbycalc.intmat import (
     IntMatrix,
     _eliminate,
     _unit_pivots,
+    block_diag,
     cokernel,
     determinant,
     is_unimodular,
@@ -414,6 +415,75 @@ def test_mul_and_transpose_match_plain_loops():
                     IntMatrix.zeros(r, r))
     with pytest.raises(DimensionError):
         IntMatrix.zeros(2, 3).mul(IntMatrix.zeros(2, 3))
+
+
+def test_internal_builds_match_their_checked_twins():
+    """Every matrix built without __post_init__ equals its from_rows twin
+    and holds tuples of plain ints."""
+    rng = random.Random(1902)
+    for _ in range(150):
+        m, b = rand_matrix(rng), rand_matrix(rng, max_dim=3)
+        r, c = m.shape()
+        diag = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+        rows = [rng.randrange(r) for _ in range(rng.randint(0, 4))] if r else []
+        cols = [rng.randrange(c) for _ in range(rng.randint(0, 4))] if c else []
+        orders = [rng.choice((0, 0, 2, 3, 12)) for _ in range(r)]
+        s = smith_normal_form(m)
+        built = {
+            "from_diagonal": (IntMatrix.from_diagonal(iter(diag)),
+                              [[x if i == j else 0 for j in range(len(diag))]
+                               for i, x in enumerate(diag)]),
+            "identity": (IntMatrix.identity(len(diag)),
+                         [[int(i == j) for j in range(len(diag))] for i in range(len(diag))]),
+            "zeros": (IntMatrix.zeros(r, c), [[0] * c for _ in range(r)]),
+            "submatrix": (m.submatrix(rows, cols), [[m[i, j] for j in cols] for i in rows]),
+            "block_diag": (block_diag(m, b),
+                           [list(row) + [0] * b.cols for row in m.entries]
+                           + [[0] * c + list(row) for row in b.entries]),
+            "with_relations": (with_relations(m, orders),
+                               [list(row) + [t if i == k else 0 for k, t in enumerate(orders) if t]
+                                for i, row in enumerate(m.entries)]),
+        }
+        for got, want in built.values():
+            width = len(want[0]) if want else got.cols
+            _same_value(got, IntMatrix.from_rows(want, cols=width))
+        for got in (s.u, s.d, s.v, kernel_basis(m)):
+            _same_value(got, IntMatrix.from_rows(got.entries, got.cols))
+    _same_value(IntMatrix.from_diagonal((True, -1)), IntMatrix(((1, 0), (0, -1))))
+    _same_value(with_relations(IntMatrix.zeros(2, 0), (True, 2)),
+                IntMatrix(((1, 0), (0, 2))))
+
+
+def test_public_constructors_keep_their_refusals():
+    not_int = "'float' object cannot be interpreted as an integer"
+    m = IntMatrix(((1, 2), (3, 4)))
+    for call, error, message in (
+            (lambda: IntMatrix(((1, 2), (3,))), DimensionError, "ragged rows"),
+            (lambda: IntMatrix.from_rows([[1, 2]], cols=3), DimensionError,
+             "rows of length 2 but cols=3"),
+            (lambda: IntMatrix((), -3), DimensionError, "negative column count -3"),
+            (lambda: IntMatrix(((1.5,),)), TypeError, not_int),
+            (lambda: IntMatrix.from_rows([["3"]]), TypeError,
+             "'str' object cannot be interpreted as an integer"),
+            (lambda: IntMatrix.zeros(-2, 3), DimensionError, "negative row count -2"),
+            (lambda: IntMatrix.zeros(0, -2), DimensionError, "negative column count -2"),
+            (lambda: IntMatrix.zeros(2, -2), DimensionError, "negative column count -2"),
+            (lambda: IntMatrix.zeros(2.0, 2), TypeError, not_int),
+            (lambda: IntMatrix.zeros(2, 2.0), TypeError, not_int),
+            (lambda: IntMatrix.identity(-2), DimensionError, "negative size -2"),
+            (lambda: IntMatrix.identity(2.0), TypeError, not_int),
+            (lambda: IntMatrix.from_diagonal([1, 2.5]), TypeError, not_int),
+            (lambda: IntMatrix.from_diagonal([None]), TypeError,
+             "'NoneType' object cannot be interpreted as an integer"),
+            (lambda: with_relations(m, (0, 2.0)), TypeError, not_int),
+            (lambda: with_relations(m, (0,)), DimensionError, "1 orders for 2 rows"),
+            (lambda: m.submatrix([0], [2]), DimensionError,
+             "column index 2 out of range for size 2"),
+            (lambda: m.submatrix([-1], [0]), DimensionError,
+             "row index -1 out of range for size 2")):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_submatrix_refuses_an_index_out_of_range():
