@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -631,70 +632,162 @@ def test_swapping_two_rows_negates_the_determinant():
 
 
 # ---------------------------------------------------------------------------
-# replayed column operations against an elimination that tracks V in full
+# replayed operations against eliminations that track U and V in full
 
 
-def reference_smith(m):
-    """(U, D, V) from a Smith elimination that applies every row operation
-    to U and every column operation to V as it goes, on whole rows and
-    columns of the matrix; the pivot rules are those of _eliminate."""
-    rows, cols = m.shape()
-    a = [list(r) for r in m.entries]
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]  # v[i]: column i
+class Tracked:
+    """A Smith elimination in progress that applies every row operation to
+    U and every column operation to V (and V^-1) as it goes, on whole rows
+    and columns of the matrix, and records them as _eliminate does.
 
-    def swap_rows(i, j):
+    exact stays True while no pivot left a remainder and no row was folded
+    for divisibility: every quotient was then exact.
+    """
+
+    def __init__(self, m):
+        self.rows, self.cols = m.shape()
+        self.a = [list(r) for r in m.entries]
+        self.u = [[int(i == j) for j in range(self.rows)] for i in range(self.rows)]
+        self.v = [[int(i == j) for j in range(self.cols)] for i in range(self.cols)]  # columns
+        self.vinv = [[int(i == j) for j in range(self.cols)] for i in range(self.cols)]
+        self.rops = []
+        self.ops = []
+        self.exact = True
+
+    def swap_rows(self, i, j):
+        a, u = self.a, self.u
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        self.rops.append((i, j, None))
 
-    def swap_cols(i, j):
-        for row in a:
+    def swap_cols(self, i, j):
+        for row in self.a:
             row[i], row[j] = row[j], row[i]
+        v, vinv = self.v, self.vinv
         v[i], v[j] = v[j], v[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+        self.ops.append((i, j, None))
 
-    def row_sub(i, j, q):
+    def row_sub(self, i, j, q):
+        a, u = self.a, self.u
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        self.rops.append((i, j, q))
 
-    def col_sub(i, j, q):
-        for row in a:
+    def col_sub(self, i, j, q):
+        for row in self.a:
             row[i] -= q * row[j]
+        v, vinv = self.v, self.vinv
         v[i] = [x - q * y for x, y in zip(v[i], v[j])]
+        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
+        self.ops.append((i, j, q))
 
+    def diagonal(self):
+        return tuple(self.a[i][i] for i in range(min(self.rows, self.cols)))
+
+    def udv(self):
+        return (IntMatrix.from_rows(self.u, cols=self.rows),
+                IntMatrix.from_rows(self.a, cols=self.cols),
+                IntMatrix.from_rows(zip(*self.v), cols=self.cols))
+
+
+def tracked_smith(m, improve):
+    """A Tracked Smith elimination of m with _eliminate's pivot scan,
+    divisibility fold and sign fix; improve(e, t) takes one step towards
+    clearing pivot t's column and row, and returns False once both are
+    clear."""
+    e = Tracked(m)
+    a = e.a
+    rows, cols = m.shape()
     for t in range(min(rows, cols)):
         entries = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)
                    if a[i][j]]
         if not entries:
             break
         _, pi, pj = min(entries)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
+        e.swap_rows(t, pi)
+        e.swap_cols(t, pj)
         while True:
-            i = next((i for i in range(t + 1, rows) if a[i][t]), None)
-            if i is not None:
-                q, r = divmod(a[i][t], a[t][t])
-                row_sub(i, t, q)
-                if r:
-                    swap_rows(t, i)
-                continue
-            j = next((j for j in range(t + 1, cols) if a[t][j]), None)
-            if j is not None:
-                q, r = divmod(a[t][j], a[t][t])
-                col_sub(j, t, q)
-                if r:
-                    swap_cols(t, j)
+            if improve(e, t):
                 continue
             offender = next((i for i in range(t + 1, rows)
                              if any(a[i][j] % a[t][t] for j in range(t + 1, cols))), None)
             if offender is None:
                 break
-            row_sub(t, offender, -1)
+            e.row_sub(t, offender, -1)
+            e.exact = False
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    return (IntMatrix.from_rows(u, cols=rows), IntMatrix.from_rows(a, cols=cols),
-            IntMatrix.from_rows(zip(*v), cols=cols))
+            e.u[i] = [-x for x in e.u[i]]
+            e.rops.append((i, i, 2))
+    return e
+
+
+def classical_step(e, t):
+    """The classical pivot improvement: the first nonzero entry below the
+    pivot, else along its row, takes the floor quotient, and a nonzero
+    remainder is swapped in as the new pivot at once."""
+    a = e.a
+    i = next((i for i in range(t + 1, e.rows) if a[i][t]), None)
+    if i is not None:
+        q, r = divmod(a[i][t], a[t][t])
+        e.row_sub(i, t, q)
+        if r:
+            e.swap_rows(t, i)
+            e.exact = False
+        return True
+    j = next((j for j in range(t + 1, e.cols) if a[t][j]), None)
+    if j is not None:
+        q, r = divmod(a[t][j], a[t][t])
+        e.col_sub(j, t, q)
+        if r:
+            e.swap_cols(t, j)
+            e.exact = False
+        return True
+    return False
+
+
+def nearest_quotient(x, p):
+    """The q of least |x - q p|; a tie takes the lower q."""
+    return math.ceil(Fraction(x, p) - Fraction(1, 2))
+
+
+def least_remainder_round(e, t):
+    """One round of _eliminate's pivot improvement: every nonzero entry
+    below the pivot, else along its row, drops to its least remainder,
+    and the first of the smallest nonzero remainders is swapped in as the
+    new pivot."""
+    a = e.a
+    p = a[t][t]
+    below = [i for i in range(t + 1, e.rows) if a[i][t]]
+    if below:
+        for i in below:
+            if q := nearest_quotient(a[i][t], p):
+                e.row_sub(i, t, q)
+        if left := [i for i in below if a[i][t]]:
+            e.swap_rows(t, min(left, key=lambda i: abs(a[i][t])))
+        return True
+    right = [j for j in range(t + 1, e.cols) if a[t][j]]
+    if right:
+        for j in right:
+            if q := nearest_quotient(a[t][j], p):
+                e.col_sub(j, t, q)
+        if left := [j for j in right if a[t][j]]:
+            e.swap_cols(t, min(left, key=lambda j: abs(a[t][j])))
+        return True
+    return False
+
+
+def reference_smith(m):
+    """(U, D, V) from a tracked elimination with the pivot rules of
+    _eliminate."""
+    return tracked_smith(m, least_remainder_round).udv()
+
+
+def classical_smith(m):
+    """The tracked elimination with the classical pivot improvement."""
+    return tracked_smith(m, classical_step)
 
 
 def reference_solve(u, d, v, b):
@@ -733,8 +826,10 @@ def rand_rank_deficient(rng):
     return left.mul(right)
 
 
-def test_replayed_transforms_match_an_elimination_that_tracks_v():
-    rng = random.Random(6151)
+def replay_cases(rng):
+    """10,000 (matrix, handlebody or None) pairs: empty shapes, dense,
+    sparse +-1 and rank-deficient matrices, then run-over matrices of
+    moved handlebodies."""
     cases = [(IntMatrix.zeros(r, c), None) for r, c in
              [(0, 0)] + [(0, n) for n in range(1, 8)] + [(n, 0) for n in range(1, 8)]]
     cases += [(rand_matrix(rng, max_dim=7), None) for _ in range(3000)]
@@ -744,8 +839,13 @@ def test_replayed_transforms_match_an_elimination_that_tracks_v():
     while len(cases) < 10_000:
         h = rand_moved_handlebody(rng)
         cases.append((run_over_matrix(h), h))
+    return cases
+
+
+def test_replayed_transforms_match_an_elimination_that_tracks_v():
+    rng = random.Random(6151)
     kernels = unsolvable = trailing = 0
-    for m, h in cases:
+    for m, h in replay_cases(rng):
         u, d, v = reference_smith(m)
         with time_limit(10):
             s = smith_normal_form(m)
@@ -767,3 +867,60 @@ def test_replayed_transforms_match_an_elimination_that_tracks_v():
         kernels += c > rank
         trailing += rank >= 2
     assert min(kernels, unsolvable, trailing) > 500
+
+
+def test_least_remainder_rounds_agree_with_the_classical_elimination():
+    """Against the classical pivot improvement: the same diagonal, kernels
+    spanning the same lattice, congruent intersection forms, and the same
+    recorded operations wherever every classical quotient was exact."""
+    exact = changed = forms = 0
+    for m, h in replay_cases(random.Random(6151)):
+        old = classical_smith(m)
+        rops, ops = [], []
+        assert _eliminate([list(r) for r in m.entries], rops, ops) == old.diagonal(), m
+        if old.exact:
+            assert (rops, ops) == (old.rops, old.ops), m
+        exact += old.exact
+        rank = sum(1 for x in old.diagonal() if x)
+        c = m.cols
+        kernel = kernel_basis(m)
+        old_kernel = old.udv()[2].submatrix(range(c), range(rank, c))
+        # in V_old's basis a kernel vector has no coordinate before rank,
+        # so kernel = old_kernel P for P the rest of its coordinates
+        coords = IntMatrix.from_rows(old.vinv, cols=c).mul(kernel)
+        assert all(x == 0 for row in coords.entries[:rank] for x in row), m
+        p = coords.submatrix(range(rank, c), range(c - rank))
+        assert abs(determinant(p)) == 1, m
+        assert old_kernel.mul(p) == kernel, m
+        changed += kernel != old_kernel
+        if h is not None:
+            form = homology(h).intersection_form
+            old_form = old_kernel.transpose().mul(h.linking).mul(old_kernel)
+            assert form == p.transpose().mul(old_form).mul(p), h
+            forms += form != old_form
+    assert min(exact, changed) > 500
+    assert forms > 0
+
+
+def test_smith_transforms_of_dense_matrices_stay_small():
+    for n, limit in ((24, 2048), (32, 4096)):
+        for seed in range(5):
+            rng = random.Random(seed)
+            m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            with time_limit(10):
+                s = smith_normal_form(m)
+            assert s.u.mul(m).mul(s.v) == s.d
+            bits = max(abs(x).bit_length() for t in (s.u, s.v) for row in t.entries for x in row)
+            assert bits <= limit, (n, seed, bits)
+
+
+def test_integer_solutions_of_dense_systems_stay_small():
+    for seed in range(300):
+        rng = random.Random(seed)
+        r = rng.randint(12, 22)
+        c = min(max(r + rng.randint(-4, 4), 12), 24)
+        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+        b = m.apply([rng.randint(-3, 3) for _ in range(c)])
+        x = solve_integer(m, b)
+        assert x is not None and m.apply(x) == b
+        assert max(abs(v).bit_length() for v in x) <= 1024, seed
